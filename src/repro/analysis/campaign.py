@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..memsim.scenarios import SCENARIO_NAMES, build_scenario
 from ..obs import get_logger
 from ..obs import ops as _ops
 from ..obs import session as _obs
-from ..perf.pool import resilient_map, resolve_workers
+from ..perf.pool import parallel_map, resilient_map, resolve_workers
 from ..stats.roc import DetectionOutcome, score_detections
 from ..testing.chaos import ChaosError, ChaosSpec, chaos_pre_unit
 from .checkpoint import CampaignJournal, config_fingerprint
@@ -81,8 +81,9 @@ class ExperimentSpec:
         :class:`~repro.memsim.machine.Machine` per run through the
         discrete-event kernel) or ``"vector"`` (the whole cell advanced
         per tick by :class:`~repro.memsim.fleet_vec.VectorFleet`; the
-        fleet is presimulated once and workers only analyse).  Detector
-        plumbing, journaling and aggregation are engine-agnostic.
+        fleet is presimulated as one pool unit and the run units only
+        analyse).  Detector plumbing, journaling and aggregation are
+        engine-agnostic.
     """
 
     name: str
@@ -183,8 +184,8 @@ def _execute_run(spec: ExperimentSpec, run_index: int,
 
     Vector-engine cells pass the host's presimulated
     :class:`~repro.memsim.machine.RunResult` as ``presimulated`` (the
-    fleet was advanced as one batch in the parent); the unit then only
-    analyses.  Counter-based per-host seeding makes the attached result
+    cell's fleet was advanced as one batch beforehand); the unit then
+    only analyses.  Counter-based per-host seeding makes the attached result
     identical however the pending set was batched, so journal resume
     and retries stay bit-exact.
     """
@@ -272,6 +273,29 @@ def _campaign_unit(unit) -> RunRecord:
                         presimulated=rest[0] if rest else None)
 
 
+def _scenario_kwargs(spec: ExperimentSpec) -> dict:
+    """Scenario keyword arguments shared by both engines' builders.
+
+    Scenario scaling cannot reach exactly zero (``scaled()`` requires a
+    positive factor), so a fault-free cell disables faults explicitly.
+    """
+    kwargs = {"profile": spec.profile, "max_run_seconds": spec.max_run_seconds}
+    if spec.fault_factor == 0.0:
+        from ..memsim.config import FaultConfig
+
+        kwargs["config_overrides"] = {"faults": FaultConfig(
+            heap_leak_fraction=0.0, pool_leak_rate=0.0,
+            fragmentation_rate=0.0,
+        )}
+    else:
+        kwargs["fault_factor"] = spec.fault_factor
+    return kwargs
+
+
+def _build(spec: ExperimentSpec, seed: int):
+    return build_scenario(spec.scenario, seed=seed, **_scenario_kwargs(spec))
+
+
 def _presimulate_cell(spec: ExperimentSpec,
                       run_indices: Sequence[int]) -> Dict[int, "RunResult"]:
     """Advance one vector-engine cell's pending hosts as a single fleet.
@@ -286,23 +310,8 @@ def _presimulate_cell(spec: ExperimentSpec,
     from ..memsim.scenarios import scenario_batch_job, scenario_config
 
     seeds = [spec.base_seed + i for i in run_indices]
-    if spec.fault_factor == 0.0:
-        from ..memsim.config import FaultConfig
-
-        config = scenario_config(
-            spec.scenario, seed=spec.base_seed, profile=spec.profile,
-            max_run_seconds=spec.max_run_seconds,
-            config_overrides={"faults": FaultConfig(
-                heap_leak_fraction=0.0, pool_leak_rate=0.0,
-                fragmentation_rate=0.0,
-            )},
-        )
-    else:
-        config = scenario_config(
-            spec.scenario, seed=spec.base_seed, profile=spec.profile,
-            max_run_seconds=spec.max_run_seconds,
-            fault_factor=spec.fault_factor,
-        )
+    config = scenario_config(spec.scenario, seed=spec.base_seed,
+                             **_scenario_kwargs(spec))
     with _obs.span("cell-presimulate", cell=spec.name, hosts=len(seeds),
                    engine=spec.engine):
         fleet = VectorFleet(config, seeds=seeds,
@@ -311,17 +320,49 @@ def _presimulate_cell(spec: ExperimentSpec,
     return dict(zip(run_indices, results))
 
 
+def _presimulate_unit(unit) -> Dict[int, "RunResult"]:
+    """Pool entry point: one (spec, run_indices) presimulation fleet."""
+    spec, run_indices = unit
+    return _presimulate_cell(spec, run_indices)
+
+
+def _attach_presimulated(specs: Sequence[ExperimentSpec], pending_units,
+                         *, workers: int):
+    """Presimulate the vector cells' pending hosts and attach each
+    host's RunResult to its unit as ``(spec, run_index, result)``.
+
+    One pool unit per distinct fleet: cells that differ only in what
+    analyses them (``detector_grid`` copies) share the key, so each host
+    is simulated once.  Hosts are not sharded within a cell — the fleet's
+    cost is per tick, not per host.  No timeout or retry budget, so a
+    worker death falls back to presimulating in-process.
+    """
+    by_cell: Dict[str, List[int]] = {}
+    for spec, i in pending_units:
+        if spec.engine == "vector":
+            by_cell.setdefault(spec.name, []).append(i)
+    fleets: Dict[Tuple, Tuple[ExperimentSpec, List[int]]] = {}
+    cell_fleet: Dict[str, Tuple] = {}
+    for spec in specs:
+        if spec.name in by_cell:
+            indices = by_cell[spec.name]
+            key = (spec.scenario, spec.profile, spec.fault_factor,
+                   spec.max_run_seconds, spec.base_seed, tuple(indices))
+            fleets.setdefault(key, (spec, indices))
+            cell_fleet[spec.name] = key
+    results = parallel_map(_presimulate_unit, list(fleets.values()),
+                           workers=workers, label="presimulate-worker")
+    by_key = dict(zip(fleets, results))
+    return [
+        (spec, i, by_key[cell_fleet[spec.name]][i])
+        if spec.name in cell_fleet else (spec, i)
+        for spec, i in pending_units
+    ]
+
+
 def run_cell(spec: ExperimentSpec) -> CellResult:
-    """Execute one cell: fleet, analysis, aggregation."""
-    _log.info("cell starting", cell=spec.name, scenario=spec.scenario,
-              profile=spec.profile, n_runs=spec.n_runs, engine=spec.engine)
-    if spec.engine == "vector":
-        presim = _presimulate_cell(spec, range(spec.n_runs))
-        records = [_execute_run(spec, i, presimulated=presim[i])
-                   for i in range(spec.n_runs)]
-    else:
-        records = [_execute_run(spec, i) for i in range(spec.n_runs)]
-    return _aggregate_cell(spec, records)
+    """Execute one cell in-process: fleet, analysis, aggregation."""
+    return execute_campaign([spec], workers=1).results[spec.name]
 
 
 def cells_payload(results: Dict[str, CellResult]) -> Dict[str, dict]:
@@ -558,25 +599,16 @@ def execute_campaign(
     if pending:
         pending_units = [unit for unit, _ in pending]
         pending_keys = [key for _, key in pending]
-        # Vector-engine cells: advance each cell's pending hosts as one
-        # batched fleet here in the parent, then attach the per-host
-        # result to its unit — workers only analyse.  Counter-based
-        # seeding makes each host's result independent of which other
-        # hosts were batched with it, so resume/retry stay bit-exact.
-        if any(spec.engine == "vector" for spec in specs):
-            by_cell: Dict[str, List[int]] = {}
-            for spec, i in pending_units:
-                if spec.engine == "vector":
-                    by_cell.setdefault(spec.name, []).append(i)
-            presim = {
-                spec.name: _presimulate_cell(spec, by_cell[spec.name])
-                for spec in specs if spec.name in by_cell
-            }
-            pending_units = [
-                (spec, i, presim[spec.name][i]) if spec.name in presim
-                else (spec, i)
-                for spec, i in pending_units
-            ]
+        trace = _ops.current_trace() or _ops.new_trace("campaign")
+        # Vector-engine cells: each cell's pending hosts advance as one
+        # fleet per pool unit, then every host's result rides to its
+        # analysis unit.  Counter-based seeding makes a host's result
+        # independent of which hosts shared its fleet, so resume/retry
+        # stay bit-exact.
+        if any(spec.engine == "vector" for spec, _ in pending_units):
+            with _ops.trace_scope(trace):
+                pending_units = _attach_presimulated(
+                    specs, pending_units, workers=workers)
         journal_handle = (CampaignJournal(journal, fingerprint=fingerprint)
                           if journal is not None else None)
 
@@ -594,7 +626,6 @@ def execute_campaign(
 
         pre_unit = (partial(chaos_pre_unit, chaos)
                     if chaos is not None else None)
-        trace = _ops.current_trace() or _ops.new_trace("campaign")
         try:
             with _ops.trace_scope(trace), \
                     _obs.span("campaign-pool", cells=len(specs),
@@ -689,26 +720,3 @@ def run_campaign(
         specs, workers=workers, timeout=timeout, retries=retries,
         journal=journal, resume=resume, allow_partial=False,
     ).results
-
-
-def _build(spec: ExperimentSpec, seed: int):
-    if spec.fault_factor == 0.0:
-        # Scenario scaling cannot reach exactly zero (scaled() requires a
-        # positive factor); build with explicitly disabled faults.
-        from ..memsim.config import FaultConfig
-
-        machine = build_scenario(
-            spec.scenario, seed=seed, profile=spec.profile,
-            max_run_seconds=spec.max_run_seconds,
-            config_overrides={"faults": FaultConfig(
-                heap_leak_fraction=0.0, pool_leak_rate=0.0,
-                fragmentation_rate=0.0,
-            )},
-        )
-    else:
-        machine = build_scenario(
-            spec.scenario, seed=seed, profile=spec.profile,
-            max_run_seconds=spec.max_run_seconds,
-            fault_factor=spec.fault_factor,
-        )
-    return machine

@@ -11,7 +11,7 @@ did the wall time go":
   duration, clamped at zero — parents overlap their children, and a
   pool span overlaps its concurrent workers),
 * classified into the pipeline's five **phases** — ``simulate``
-  (machine setup/run), ``cwt-holder`` (the wavelet transform + Hölder
+  (machine setup/run, vector-fleet presimulation), ``cwt-holder`` (the wavelet transform + Hölder
   trajectory), ``analysis`` (preprocess/indicator/detector),
   ``trace-io`` (trace collection and CSV writes) and ``pool-overhead``
   (pool scheduling, worker glue) — with unmatched names inheriting the
@@ -53,6 +53,8 @@ PHASES = ("simulate", "cwt-holder", "analysis", "trace-io",
 _PHASE_BY_SPAN = {
     "machine-setup": "simulate",
     "machine-run": "simulate",
+    "cell-presimulate": "simulate",
+    "fleet-vec-run": "simulate",
     "holder": "cwt-holder",
     "analyze-counter": "analysis",
     "preprocess": "analysis",
@@ -63,6 +65,7 @@ _PHASE_BY_SPAN = {
     "read-csv": "trace-io",
     "campaign-pool": "pool-overhead",
     "campaign-worker": "pool-overhead",
+    "presimulate-worker": "pool-overhead",
     "cell-run": "pool-overhead",
 }
 

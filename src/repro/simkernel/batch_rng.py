@@ -25,8 +25,15 @@ relies on:
   bit-identical for every ``k``.
 
 Counters are managed by the caller (the fleet engine uses
-``tick * LANE_STRIDE + lane``), keeping this module stateless apart from the
-cached per-stream keys.
+``tick * stride + lane`` per stream).  Because a draw depends on nothing
+but its counter, each stream prefetches: one hash call fills a block of
+uniforms over a window of counters starting at the requested one, and
+later calls inside the window are served as read-only slices of it.  The
+block holds about ``_WINDOW_BYTES`` per stream (never less than one
+request), so small fleets hash once per few hundred ticks instead of
+several times per tick, and large fleets fall back to one hash per call
+with bounded memory.  The hash and the 53-bit conversion are the same
+elementwise operations either way, so prefetching cannot change a bit.
 
 The derived samplers (exponential, Pareto, lognormal, geometric, Poisson,
 binomial) are deliberately the inverse-CDF / moment-matched forms documented
@@ -36,7 +43,7 @@ its bit patterns — cross-engine equivalence is statistical by design.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -58,10 +65,11 @@ _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U53 = np.float64(1.0 / (1 << 53))
 
-# Distinct lanes within one (stream, tick) live this far apart in counter
-# space; ticks advance the counter by LANE_STRIDE so a stream can burn up to
-# LANE_STRIDE independent draws per host per tick without collisions.
-LANE_STRIDE = 64
+# Prefetch budget per stream: a stream's cached block of uniforms spans
+# about this many bytes (n_hosts * window * 8).
+_WINDOW_BYTES = 64 * 1024
+# Counters are int64; a window never serves a counter at or past this.
+_COUNTER_END = 1 << 63
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -108,6 +116,9 @@ class FleetRng:
             raise ValueError("seeds must be a non-empty 1-d array")
         self._seeds = seeds.astype(np.int64, copy=True).view(np.uint64)
         self._keys: Dict[str, np.ndarray] = {}
+        self._window = max(1, _WINDOW_BYTES // (8 * self._seeds.size))
+        # stream -> (first counter, end counter, (n_hosts, width) block)
+        self._blocks: Dict[str, Tuple[int, int, np.ndarray]] = {}
 
     @property
     def n_hosts(self) -> int:
@@ -116,10 +127,22 @@ class FleetRng:
     def _key(self, stream: str) -> np.ndarray:
         key = self._keys.get(stream)
         if key is None:
-            with np.errstate(over="ignore"):
-                key = _mix64(self._seeds ^ _mix64(np.full_like(self._seeds, _stream_tag(stream))))
+            key = _mix64(self._seeds ^ _mix64(np.full_like(self._seeds, _stream_tag(stream))))
             self._keys[stream] = key
         return key
+
+    def _refill(self, stream: str, counter: int, need: int) -> np.ndarray:
+        """Hash the window of counters starting at ``counter`` into the
+        stream's cached block and return it."""
+        width = max(need, self._window)
+        # uint64 arithmetic wraps exactly like the int64 counters it views.
+        ctr = np.arange(width, dtype=np.uint64)
+        ctr += np.int64(counter).view(np.uint64)
+        bits = _mix64(self._key(stream)[:, None] ^ _mix64(ctr)[None, :])
+        block = (bits >> np.uint64(11)).astype(np.float64) * _U53
+        block.flags.writeable = False
+        self._blocks[stream] = (counter, min(counter + width, _COUNTER_END), block)
+        return block
 
     def uniforms(self, stream: str, counter: int, lanes: int = 0) -> np.ndarray:
         """Uniform(0, 1) draws on ``stream`` at ``counter``.
@@ -127,18 +150,17 @@ class FleetRng:
         With ``lanes == 0`` returns shape ``(n_hosts,)`` using the single
         counter value; with ``lanes == k`` returns ``(n_hosts, k)`` using
         counters ``counter + 0 .. counter + k - 1``.  Values lie in
-        ``[0, 1)`` with 53-bit resolution.
+        ``[0, 1)`` with 53-bit resolution.  The result is a read-only view
+        of the stream's prefetched block.
         """
-        key = self._key(stream)
-        if lanes:
-            ctr = np.arange(counter, counter + lanes, dtype=np.int64).view(np.uint64)
-            with np.errstate(over="ignore"):
-                bits = _mix64(key[:, None] ^ _mix64(ctr)[None, :])
+        need = lanes or 1
+        cached = self._blocks.get(stream)
+        if cached is not None and cached[0] <= counter and counter + need <= cached[1]:
+            start, _, block = cached
         else:
-            ctr = np.uint64(np.int64(counter).view(np.uint64))
-            with np.errstate(over="ignore"):
-                bits = _mix64(key ^ _mix64(np.full(1, ctr, dtype=np.uint64))[0])
-        return (bits >> np.uint64(11)).astype(np.float64) * _U53
+            start, block = counter, self._refill(stream, counter, need)
+        j = counter - start
+        return block[:, j:j + lanes] if lanes else block[:, j]
 
     def normals(self, stream: str, counter: int, lanes: int = 0) -> np.ndarray:
         """Standard-normal draws via Box–Muller (two uniforms per normal)."""

@@ -350,3 +350,109 @@ class TestCampaignVector:
         resumed = execute_campaign(specs, workers=1, journal=journal,
                                    resume=True)
         assert cells_payload(resumed.results) == ref
+
+
+def _mixed_specs():
+    """Two vector cells (aging + fault-free) beside one object cell."""
+    from repro.analysis.campaign import ExperimentSpec
+
+    return [
+        ExperimentSpec(name="aging", scenario="stress", n_runs=2, base_seed=17,
+                       fault_factor=4.0, max_run_seconds=3_000.0,
+                       engine="vector"),
+        ExperimentSpec(name="healthy", scenario="stress", n_runs=2,
+                       base_seed=40, fault_factor=0.0,
+                       max_run_seconds=2_000.0, engine="vector"),
+        ExperimentSpec(name="object", scenario="stress", n_runs=1,
+                       base_seed=5, fault_factor=4.0,
+                       max_run_seconds=3_000.0, engine="object"),
+    ]
+
+
+def _presim_spans(session):
+    return [r["attrs"] for r in session.spans.to_list()
+            if r["path"].endswith("cell-presimulate")]
+
+
+class TestCampaignVectorCells:
+    """Presimulation runs one pool unit per distinct vector fleet."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        from repro.analysis.campaign import cells_payload, execute_campaign
+
+        return cells_payload(execute_campaign(_mixed_specs(), workers=1).results)
+
+    def test_multi_cell_parallel_bit_identical(self, reference):
+        from repro.analysis.campaign import cells_payload, execute_campaign
+
+        with _obs.telemetry_session() as session:
+            par = cells_payload(execute_campaign(_mixed_specs(), workers=2).results)
+            fallbacks = session.metrics.counter("perf.pool.fallbacks").value
+        assert par == reference
+        assert fallbacks == 0
+        assert sorted(a["cell"] for a in _presim_spans(session)) == ["aging", "healthy"]
+
+    def test_resume_skips_fully_journaled_cell(self, tmp_path, reference):
+        import json
+
+        from repro.analysis.campaign import cells_payload, execute_campaign
+
+        journal = tmp_path / "journal.jsonl"
+        execute_campaign(_mixed_specs(), workers=1, journal=journal)
+        # Keep every "aging" unit and one "healthy" unit, as if the
+        # campaign had been interrupted there.
+        kept = []
+        for line in journal.read_text().splitlines():
+            record = json.loads(line)
+            key = record.get("key", "")
+            if record["kind"] == "header" or key.startswith("aging#") \
+                    or key == "healthy#1":
+                kept.append(line)
+        journal.write_text("\n".join(kept) + "\n")
+
+        with _obs.telemetry_session() as session:
+            resumed = execute_campaign(_mixed_specs(), workers=2,
+                                       journal=journal, resume=True)
+            hosts = session.metrics.counter("memsim_vec.hosts").value
+        assert resumed.resumed_units == 3
+        assert cells_payload(resumed.results) == reference
+        assert [(a["cell"], a["hosts"]) for a in _presim_spans(session)] \
+            == [("healthy", 1)]
+        assert hosts == 1
+
+    def test_presimulation_worker_death_falls_back(self, monkeypatch, reference):
+        import os
+
+        from repro.analysis.campaign import cells_payload, execute_campaign
+
+        parent = os.getpid()
+        original = VectorFleet.run
+
+        def run_or_die(self):
+            if os.getpid() != parent:
+                os._exit(3)  # like the OOM killer, mid-unit
+            return original(self)
+
+        monkeypatch.setattr(VectorFleet, "run", run_or_die)
+        with _obs.telemetry_session() as session:
+            outcome = execute_campaign(_mixed_specs(), workers=2)
+            fallbacks = session.metrics.counter("perf.pool.fallbacks").value
+        assert fallbacks >= 1
+        assert cells_payload(outcome.results) == reference
+
+    def test_detector_grid_presimulates_each_host_once(self):
+        from repro.analysis.campaign import (
+            cells_payload, detector_grid, execute_campaign,
+        )
+
+        grid = detector_grid(_mixed_specs()[:1], ["holder", "naive"])
+        separate = {}
+        for spec in grid:
+            separate.update(cells_payload(execute_campaign([spec]).results))
+        with _obs.telemetry_session() as session:
+            together = cells_payload(execute_campaign(grid, workers=2).results)
+            hosts = session.metrics.counter("memsim_vec.hosts").value
+        assert hosts == grid[0].n_runs
+        assert len(_presim_spans(session)) == 1
+        assert together == separate

@@ -29,6 +29,8 @@ class TestClassification:
     @pytest.mark.parametrize("path, phase", [
         ("machine-run", "simulate"),
         ("cell-run/machine-setup", "simulate"),
+        ("presimulate-worker/cell-presimulate", "simulate"),
+        ("presimulate-worker/cell-presimulate/fleet-vec-run", "simulate"),
         ("analyze-counter/holder", "cwt-holder"),
         ("analyze-counter/preprocess", "analysis"),
         ("analyze-counter/detector", "analysis"),
@@ -223,3 +225,21 @@ class TestSessionIntegration:
         shares = [s["share"] for s in costs["phases"].values()
                   if s["share"] is not None]
         assert sum(shares) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("engine", ["object", "vector"])
+    def test_campaign_spans_all_classified(self, engine):
+        from repro.analysis.campaign import ExperimentSpec, execute_campaign
+        from repro.obs import session as _obs
+
+        specs = [ExperimentSpec(name="aging", n_runs=2, base_seed=3,
+                                fault_factor=4.0, max_run_seconds=3_000.0,
+                                engine=engine),
+                 ExperimentSpec(name="healthy", n_runs=1, base_seed=9,
+                                fault_factor=0.0, max_run_seconds=2_000.0,
+                                engine=engine)]
+        with _obs.telemetry_session() as session:
+            execute_campaign(specs, workers=1)
+            paths = {r["path"] for r in session.spans.to_list()}
+        phases = {path: classify_span(path) for path in paths}
+        assert "simulate" in phases.values()
+        assert [path for path, phase in phases.items() if phase == "other"] == []
