@@ -19,7 +19,6 @@ import numpy as np
 
 from .._validation import check_choice, check_positive, check_positive_int
 from ..core.detectors import DetectorConfig
-from ..core.engines import holder_engine_names
 from ..exceptions import AnalysisError, ExecutionError, ValidationError
 from ..memsim.machine import FLEET_ENGINES
 from ..memsim.scenarios import SCENARIO_NAMES, build_scenario
@@ -65,11 +64,6 @@ class ExperimentSpec:
         :mod:`repro.analysis.detector_registry`); ``"holder"`` is the
         legacy default and keeps alarms bit-identical to pre-registry
         campaigns.
-    holder_engine:
-        Which registered :class:`~repro.core.engines.HolderEngine`
-        computes Hölder trajectories for the Hölder detector family.
-        Full-window estimates are identical across engines (protocol
-        contract), so payloads are bit-identical whichever is selected.
     collect_scores:
         Record per-run peak decision statistics (healthy vs pre-crash)
         for scoreboard ROC sweeps.  Observation-only — alarm times are
@@ -96,7 +90,6 @@ class ExperimentSpec:
     indicator: str = "mean"
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     detector_name: str = "holder"
-    holder_engine: str = "batch"
     collect_scores: bool = True
     max_run_seconds: float = 80_000.0
     engine: str = "object"
@@ -110,8 +103,6 @@ class ExperimentSpec:
         check_choice(self.indicator, name="indicator", choices=("mean", "variance"))
         check_choice(self.detector_name, name="detector_name",
                      choices=detector_names())
-        check_choice(self.holder_engine, name="holder_engine",
-                     choices=holder_engine_names())
         check_positive(self.max_run_seconds, name="max_run_seconds")
         check_choice(self.engine, name="engine", choices=FLEET_ENGINES)
         if self.fault_factor < 0:

@@ -141,7 +141,6 @@ class _HolderDetector:
         analysis = analyze_counter(
             bundle[spec.counter],
             indicator=spec.indicator,
-            holder_engine=getattr(spec, "holder_engine", "batch"),
             detector_config=config,
         )
         peak_healthy = peak_precrash = None

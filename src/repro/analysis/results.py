@@ -94,6 +94,10 @@ def _spec_to_dict(spec: ExperimentSpec) -> dict:
 
 def _spec_from_dict(data: dict) -> ExperimentSpec:
     data = dict(data)
+    # Files written before the Hölder engine registry was folded away
+    # carry a ``holder_engine`` name; it never changed results, so any
+    # value (batch/sliding/online) is dropped.
+    data.pop("holder_engine", None)
     data["detector"] = DetectorConfig(**data["detector"])
     return ExperimentSpec(**data)
 

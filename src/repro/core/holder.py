@@ -23,6 +23,7 @@ the (mean h, variance h) trajectories that the aging indicators consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .._validation import (
     check_positive_int,
 )
 from ..exceptions import AnalysisError, ValidationError
+from ..obs import session as _obs
 from ..obs.profile import profile
 from ..trace.series import TimeSeries
 from ..fractal.wavelets import cwt
@@ -77,6 +79,14 @@ def wavelet_holder(
         raise ValidationError(
             f"max_scale ({max_scale}) too coarse for series of length {x.size}"
         )
+    return _modulus_regression(x, min_scale, max_scale, n_scales,
+                               dog_order, cone_supremum)
+
+
+def _modulus_regression(x, min_scale, max_scale, n_scales, dog_order,
+                        cone_supremum, tail=None) -> np.ndarray:
+    """Wavelet-modulus Hölder estimates of every sample of ``x``, or of
+    its newest ``tail`` samples when given."""
     scales = np.geomspace(min_scale, max_scale, n_scales)
     modulus = np.abs(cwt(x, scales, wavelet="dog", dog_order=dog_order))
 
@@ -84,6 +94,8 @@ def wavelet_holder(
         for j, a in enumerate(scales):
             half = max(int(round(a)), 1)
             modulus[j] = _rolling_max(modulus[j], half)
+    if tail is not None:
+        modulus = modulus[:, -tail:]
 
     # Floor the modulus: exact zeros happen on locally polynomial stretches.
     tiny = np.finfo(float).tiny
@@ -96,6 +108,76 @@ def wavelet_holder(
     denom = np.sum(la**2)
     slopes = (la @ log_mod) / denom
     return slopes - 0.5
+
+
+#: Margin between a tail segment's left edge and its first returned
+#: position, in units of ``max_scale`` (Gaussian standard deviations).
+SUPPORT_MULT = 10
+
+
+@profile("core.holder_tail")
+def holder_tail(
+    values,
+    tail: int,
+    *,
+    min_scale: float = 2.0,
+    max_scale: float = 32.0,
+    n_scales: int = 12,
+    dog_order: int = 2,
+    cone_supremum: bool = True,
+) -> np.ndarray:
+    """The newest ``tail`` exponents of :func:`wavelet_holder`, computed
+    from a short trailing segment.
+
+    The online monitor only reads the newest ``indicator_window``
+    exponents of each recomputation, so instead of transforming the whole
+    window this exploits the wavelet's compact effective support and
+    transforms only a trailing segment of
+    ``tail + round(max_scale) + ceil(SUPPORT_MULT * max_scale)`` samples
+    — ``O(segment log segment)`` CWT work instead of
+    ``O(window log window)``.  Keyword arguments are those of
+    :func:`wavelet_holder`.
+
+    Why the truncation is safe (to machine precision):
+
+    * The DOG wavelet at scale ``a`` decays like ``exp(-t^2 / (2 a^2))``;
+      beyond ``SUPPORT_MULT * max_scale`` samples (10 standard
+      deviations) its amplitude is ~``e^-50`` ≈ 2e-22, below
+      double-precision resolution relative to the modulus values it
+      would perturb.
+    * The CWT reflect-pads ``[x, reversed x]``; the segment and the full
+      window share their final samples, so the *right* boundary
+      extension is literally identical.  Only the segment's left edge
+      differs, and every returned position sits at least
+      ``SUPPORT_MULT * max_scale`` samples away from it.
+    * The cone-supremum rolling max reads at most ``max_scale``
+      neighbours, which the segment margin also covers.
+
+    Equality with the batch path is therefore floating-point-exact up to
+    FFT-size rounding (different transform lengths round differently at
+    the 1e-15 level).  When the window is no longer than the segment
+    (early in a run, or tiny configurations) the batch estimator runs
+    directly — there is nothing to truncate, and the result is exact.
+    """
+    check_positive_int(tail, name="tail", minimum=1)
+    check_positive_int(n_scales, name="n_scales", minimum=3)
+    if max_scale <= min_scale:
+        raise ValidationError(f"max_scale ({max_scale}) must exceed min_scale ({min_scale})")
+    x = as_1d_float_array(values, name="values", min_length=64)
+    # Segment = returned tail + cone-supremum reach + wavelet support
+    # margin, floored at the estimator's own minimum input length.
+    half_max = max(int(round(max_scale)), 1)
+    reach = int(math.ceil(SUPPORT_MULT * max_scale))
+    segment_length = max(tail + half_max + reach, 64)
+    if x.size <= segment_length:
+        h = wavelet_holder(x, min_scale=min_scale, max_scale=max_scale,
+                           n_scales=n_scales, dog_order=dog_order,
+                           cone_supremum=cone_supremum)
+        return h[-min(tail, x.size):]
+
+    _obs.counter("perf.sliding.segments").inc()
+    return _modulus_regression(x[-segment_length:], min_scale, max_scale,
+                               n_scales, dog_order, cone_supremum, tail=tail)
 
 
 def oscillation_holder(

@@ -20,6 +20,7 @@ default settings.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
@@ -31,9 +32,12 @@ from ..exceptions import AnalysisError
 from ..obs import get_logger
 from ..obs import session as _obs
 from ..stats.changepoint import CusumDetector
-from .engines import HolderEngine, create_holder_engine
+from .holder import holder_tail, wavelet_holder
 
 _log = get_logger("core.online")
+
+#: The monitor's two Hölder paths (see ``OnlineAgingMonitor.holder_engine``).
+HOLDER_ENGINES = ("batch", "sliding")
 
 
 @dataclass
@@ -60,14 +64,11 @@ class OnlineAgingMonitor:
     holder_kwargs:
         Extra arguments for :func:`repro.core.holder.wavelet_holder`.
     holder_engine:
-        A registered engine name (see
-        :func:`repro.core.engines.holder_engine_names`) or a
-        :class:`~repro.core.engines.HolderEngine` instance.  ``"batch"``
-        recomputes the full-window Hölder trajectory per emit;
-        ``"sliding"``/``"online"`` compute only the
-        ``indicator_window`` tail through the truncated-support CWT —
-        same indicator points to machine precision, a fraction of the
-        CWT work.
+        ``"batch"`` recomputes the full-window trajectory per emit with
+        :func:`~repro.core.holder.wavelet_holder` and keeps its
+        ``indicator_window`` tail; ``"sliding"`` computes only that tail
+        with :func:`~repro.core.holder.holder_tail` — same indicator
+        points to machine precision, a fraction of the CWT work.
     on_indicator:
         Optional callback ``(time, value)`` invoked for every indicator
         point (live watchers stream these).
@@ -85,7 +86,7 @@ class OnlineAgingMonitor:
     cusum_k: float = 1.5
     cusum_h: float = 8.0
     holder_kwargs: dict = field(default_factory=dict)
-    holder_engine: str | HolderEngine = "batch"
+    holder_engine: str = "batch"
     on_indicator: Optional[Callable[[float, float], None]] = None
     on_state_change: Optional[Callable[[float, str, str], None]] = None
 
@@ -97,6 +98,16 @@ class OnlineAgingMonitor:
         check_positive_int(self.n_calibration, name="n_calibration", minimum=4)
         if self.indicator_window > self.history:
             raise AnalysisError("indicator_window cannot exceed history")
+        check_choice(self.holder_engine, name="holder_engine",
+                     choices=HOLDER_ENGINES)
+        # Both engines take wavelet_holder's keywords; a typo fails here,
+        # not at the first emit.
+        try:
+            inspect.signature(wavelet_holder).bind(None, **self.holder_kwargs)
+        except TypeError as exc:
+            raise AnalysisError(
+                f"holder_kwargs not accepted by wavelet_holder: {exc}"
+            ) from None
         # The Hölder estimator needs max_scale <= history / 4; catching a
         # too-coarse scale band here fails construction instead of the
         # first recomputation, thousands of samples into a live run.
@@ -107,14 +118,6 @@ class OnlineAgingMonitor:
                 f"support: need at least 4 * max_scale = {4 * max_scale:.0f} "
                 f"samples"
             )
-        # Resolve the Hölder engine once, here — every emit then goes
-        # through the same estimate_tail call, whatever the engine.
-        if isinstance(self.holder_engine, str):
-            self._engine = create_holder_engine(
-                self.holder_engine, history=self.history,
-                tail=self.indicator_window, **self.holder_kwargs)
-        else:
-            self._engine = self.holder_engine
         self._times: List[float] = []
         self._values: List[float] = []
         self._since_recompute = 0
@@ -267,7 +270,12 @@ class OnlineAgingMonitor:
 
     def _emit_indicator_point(self) -> None:
         window = np.asarray(self._values[-self.history:])
-        recent = self._engine.estimate_tail(window, self.indicator_window)
+        if self.holder_engine == "sliding":
+            recent = holder_tail(window, self.indicator_window,
+                                 **self.holder_kwargs)
+        else:
+            recent = wavelet_holder(
+                window, **self.holder_kwargs)[-self.indicator_window:]
         point = float(np.mean(recent)) if self.indicator == "mean" \
             else float(np.var(recent))
         self._indicator_points.append(point)

@@ -25,7 +25,6 @@ from ..obs import session as _obs
 from ..obs.profile import profile
 from ..trace.series import TimeSeries, TraceBundle
 from ..trace.preprocess import fill_gaps, resample_uniform
-from .engines import create_holder_engine
 from .holder import HolderTrajectory, holder_trajectory
 from .indicators import IndicatorSeries, holder_mean_series, holder_variance_series
 from .detectors import AgingAlarm, DetectorConfig, HolderVarianceDetector
@@ -93,7 +92,6 @@ def analyze_counter(
     *,
     holder_method: str = "wavelet",
     holder_kwargs: Optional[dict] = None,
-    holder_engine: str = "batch",
     indicator: str = "mean",
     indicator_window: int = 512,
     indicator_step: int = 8,
@@ -109,13 +107,6 @@ def analyze_counter(
         ``"wavelet"`` or ``"oscillation"``.
     holder_kwargs:
         Extra arguments for the Hölder estimator (scales, radii, ...).
-    holder_engine:
-        Which registered :class:`~repro.core.engines.HolderEngine`
-        computes the wavelet trajectory.  Full-window estimates are
-        identical across engines by protocol contract, so the analysis
-        payload is bit-identical whatever is selected; the knob exists
-        so campaign specs and streaming callers share one vocabulary.
-        Ignored for ``holder_method="oscillation"``.
     indicator:
         Which Hölder moment to monitor: ``"mean"`` (default — on the
         simulator substrate the first moment of h(t) carries the
@@ -145,22 +136,9 @@ def analyze_counter(
                 f"need >= {4 * indicator_window} for window {indicator_window}"
             )
 
-        with _obs.span("holder", counter=ts.name, method=holder_method,
-                       engine=holder_engine):
-            if holder_method == "wavelet":
-                # Same hot-path name as the direct holder_trajectory
-                # route, so profiles stay comparable across engines.
-                with profile("core.holder_trajectory"):
-                    engine = create_holder_engine(
-                        holder_engine, **(holder_kwargs or {}))
-                    result = engine.estimate(clean.values)
-                    trajectory = HolderTrajectory(
-                        times=clean.times.copy(), h=result.h,
-                        method=holder_method, source_name=clean.name,
-                    )
-            else:
-                trajectory = holder_trajectory(
-                    clean, method=holder_method, **(holder_kwargs or {}))
+        with _obs.span("holder", counter=ts.name, method=holder_method):
+            trajectory = holder_trajectory(
+                clean, method=holder_method, **(holder_kwargs or {}))
         with _obs.span("indicator", counter=ts.name, statistic=indicator):
             make_series = (holder_mean_series if indicator == "mean"
                            else holder_variance_series)

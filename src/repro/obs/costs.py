@@ -61,8 +61,8 @@ _PHASE_BY_SPAN = {
     "indicator": "analysis",
     "detector": "analysis",
     "machine-collect": "trace-io",
-    "write-csv": "trace-io",
-    "read-csv": "trace-io",
+    "trace-write": "trace-io",
+    "trace-read": "trace-io",
     "campaign-pool": "pool-overhead",
     "campaign-worker": "pool-overhead",
     "presimulate-worker": "pool-overhead",
@@ -72,7 +72,7 @@ _PHASE_BY_SPAN = {
 # Profiler hot-path names -> phase, for the CPU view.
 _PHASE_BY_HOTPATH_PREFIX = (
     ("fractal.", "cwt-holder"),
-    ("perf.sliding_holder", "cwt-holder"),
+    ("core.holder_tail", "cwt-holder"),
     ("core.holder_trajectory", "cwt-holder"),
     ("core.analyze_counter", "analysis"),
     ("memsim.", "simulate"),

@@ -232,7 +232,7 @@ class SelfWatch:
                  rules: Optional[Sequence[AlertRule]] = None) -> None:
         if monitor is None:
             # Imported lazily: repro.core sits above repro.obs in the
-            # layer diagram, exactly like the sliding engine in online.py.
+            # layer diagram.
             from ..core.online import OnlineAgingMonitor
 
             monitor = OnlineAgingMonitor(

@@ -44,6 +44,7 @@ from typing import Dict, Mapping
 import numpy as np
 
 from ..exceptions import TraceError
+from ..obs import session as _obs
 from ..obs.atomic import atomic_write, atomic_write_json
 from .io import read_csv, validate_metadata, write_csv
 from .series import TimeSeries, TraceBundle
@@ -226,14 +227,15 @@ def write_bundle(bundle: TraceBundle, path: str | os.PathLike,
     path = os.fspath(path)
     if format == "auto":
         format = "csv" if path.lower().endswith(".csv") else "columnar"
-    if format == "csv":
-        write_csv(bundle, path)
-        return path
-    if format == "columnar":
+    if format not in ("csv", "columnar"):
+        raise TraceError(
+            f"unknown trace format {format!r}; expected 'auto', 'csv' or "
+            "'columnar'")
+    with _obs.span("trace-write", format=format):
+        if format == "csv":
+            write_csv(bundle, path)
+            return path
         return write_columnar(bundle, path)
-    raise TraceError(
-        f"unknown trace format {format!r}; expected 'auto', 'csv' or "
-        "'columnar'")
 
 
 def read_bundle(path: str | os.PathLike) -> TraceBundle:
@@ -243,8 +245,10 @@ def read_bundle(path: str | os.PathLike) -> TraceBundle:
     file reads as CSV.
     """
     path = os.fspath(path)
-    if os.path.isdir(path):
-        return read_columnar(path)
     # Files — and missing paths — go through the CSV codec, which raises
     # the usual FileNotFoundError for paths that don't exist.
-    return read_csv(path)
+    fmt = "columnar" if os.path.isdir(path) else "csv"
+    with _obs.span("trace-read", format=fmt):
+        if fmt == "columnar":
+            return read_columnar(path)
+        return read_csv(path)

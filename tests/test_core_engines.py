@@ -1,28 +1,13 @@
-"""HolderEngine protocol: registry, conformance, cross-engine equivalence."""
+"""The online monitor's two Hölder engines: ``"batch"`` (the tail of
+``wavelet_holder``) and ``"sliding"`` (``holder_tail``), checked against
+the batch oracle, over a stream, and at construction."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    HolderEngine,
-    HolderResult,
-    create_holder_engine,
-    holder_engine_names,
-    register_holder_engine,
-)
-from repro.core.engines import (
-    BatchHolderEngine,
-    OnlineHolderEngine,
-    SlidingHolderEngine,
-    _REGISTRY,
-)
 from repro.core.holder import wavelet_holder
-from repro.core.online import OnlineAgingMonitor
-from repro.core.pipeline import analyze_counter
+from repro.core.online import HOLDER_ENGINES, OnlineAgingMonitor
 from repro.exceptions import AnalysisError, ValidationError
-from repro.trace import TimeSeries
-
-ENGINES = ("batch", "sliding", "online")
 
 
 def _signal(n, seed=7):
@@ -32,101 +17,100 @@ def _signal(n, seed=7):
     return np.arange(n, dtype=float), values
 
 
+def _one_point(engine, values, tail, **holder_kwargs):
+    """The single indicator point (mean h of the newest ``tail``) a
+    monitor whose history is the whole of ``values`` emits."""
+    monitor = OnlineAgingMonitor(
+        chunk_size=16, history=values.size, indicator_window=tail,
+        holder_engine=engine, holder_kwargs=holder_kwargs)
+    monitor.update_many(np.arange(values.size, dtype=float), values)
+    assert monitor.indicator_history.size == 1
+    return monitor.indicator_history[0]
+
+
 class TestRegistry:
+    """The engine names the monitor and ``watch --engine`` accept."""
+
     def test_canonical_engines_registered(self):
-        assert holder_engine_names() == ("batch", "online", "sliding")
+        from repro.cli import build_parser
+
+        assert HOLDER_ENGINES == ("batch", "sliding")
+        parser = build_parser()
+        for name in HOLDER_ENGINES:
+            assert parser.parse_args(["watch", "--engine", name]).engine == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["watch", "--engine", "online"])
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValidationError, match="holder_engine"):
-            create_holder_engine("warp")
-
-    def test_factory_classes(self):
-        assert isinstance(create_holder_engine("batch"), BatchHolderEngine)
-        assert isinstance(create_holder_engine("sliding"),
-                          SlidingHolderEngine)
-        assert isinstance(create_holder_engine("online"), OnlineHolderEngine)
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValidationError):
-            register_holder_engine("", BatchHolderEngine)
-
-    def test_registration_replaces_and_restores(self):
-        original = _REGISTRY["batch"]
-        try:
-            register_holder_engine("batch", SlidingHolderEngine)
-            assert isinstance(create_holder_engine("batch"),
-                              SlidingHolderEngine)
-        finally:
-            register_holder_engine("batch", original)
-        assert isinstance(create_holder_engine("batch"), BatchHolderEngine)
+        for name in ("warp", "online"):
+            with pytest.raises(ValidationError, match="holder_engine"):
+                OnlineAgingMonitor(holder_engine=name)
 
 
 class TestConformance:
-    """Every registered engine satisfies the protocol and its
-    equivalence contract against the batch oracle."""
+    """Both engines reproduce the batch oracle's indicator points."""
 
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_satisfies_protocol(self, name):
-        engine = create_holder_engine(name)
-        assert isinstance(engine, HolderEngine)
-        assert engine.name == name
-
-    @pytest.mark.parametrize("name", ENGINES)
+    @pytest.mark.parametrize("name", HOLDER_ENGINES)
     def test_estimate_identical_to_batch_oracle(self, name):
+        # A tail spanning the whole window is the full trajectory.
         _, v = _signal(2_048)
-        result = create_holder_engine(name).estimate(v)
-        assert isinstance(result, HolderResult)
-        assert result.engine == name
-        np.testing.assert_array_equal(result.h, wavelet_holder(v))
+        assert _one_point(name, v, v.size) == np.mean(wavelet_holder(v))
 
-    @pytest.mark.parametrize("name", ENGINES)
+    @pytest.mark.parametrize("name", HOLDER_ENGINES)
     @pytest.mark.parametrize("tail", (64, 256))
     def test_tail_matches_full_trajectory(self, name, tail):
         _, v = _signal(2_048)
-        engine = create_holder_engine(name)
         np.testing.assert_allclose(
-            engine.estimate_tail(v, tail), engine.estimate(v).h[-tail:],
+            _one_point(name, v, tail), np.mean(wavelet_holder(v)[-tail:]),
             rtol=1e-9, atol=1e-8)
 
-    @pytest.mark.parametrize("name", ENGINES)
+    @pytest.mark.parametrize("name", HOLDER_ENGINES)
     def test_holder_kwargs_plumbed_through(self, name):
         _, v = _signal(1_024)
-        engine = create_holder_engine(name, n_scales=8, max_scale=16.0)
         expected = wavelet_holder(v, n_scales=8, max_scale=16.0)
-        np.testing.assert_array_equal(engine.estimate(v).h, expected)
-        np.testing.assert_allclose(engine.estimate_tail(v, 128),
-                                   expected[-128:], rtol=1e-9, atol=1e-8)
+        np.testing.assert_allclose(
+            _one_point(name, v, 128, n_scales=8, max_scale=16.0),
+            np.mean(expected[-128:]), rtol=1e-9, atol=1e-8)
 
 
 class TestStreaming:
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_none_until_history_fills_then_tail(self, name):
-        engine = create_holder_engine(name, history=512, tail=128)
-        t, v = _signal(700, seed=3)
-        assert engine.update_many(t[:400], v[:400]) is None
-        assert engine.n_buffered == 400
-        result = engine.update_many(t[400:], v[400:])
-        assert isinstance(result, HolderResult)
-        assert len(result) == 128
-        assert engine.n_buffered == 512  # trimmed to history
+    @staticmethod
+    def _monitor(name="batch"):
+        return OnlineAgingMonitor(chunk_size=128, history=512,
+                                  indicator_window=128, holder_engine=name)
 
-    @pytest.mark.parametrize("name", ("sliding", "online"))
+    @pytest.mark.parametrize("name", HOLDER_ENGINES)
+    def test_none_until_history_fills_then_tail(self, name):
+        monitor = self._monitor(name)
+        t, v = _signal(700, seed=3)
+        monitor.update_many(t[:400], v[:400])
+        assert monitor.state == "buffering"
+        assert monitor.indicator_history.size == 0
+        monitor.update_many(t[400:], v[400:])
+        # Emits at samples 512 and 640.
+        np.testing.assert_array_equal(monitor.indicator_times, [511.0, 639.0])
+        np.testing.assert_allclose(
+            monitor.indicator_history[0],
+            np.mean(wavelet_holder(v[:512])[-128:]), rtol=1e-9, atol=1e-8)
+
+    @pytest.mark.parametrize("name", ("sliding",))
     def test_stream_tail_matches_batch_stream(self, name):
         t, v = _signal(900, seed=5)
-        batch = create_holder_engine("batch", history=512, tail=128)
-        other = create_holder_engine(name, history=512, tail=128)
+        batch = self._monitor("batch")
+        other = self._monitor(name)
         for start, stop in ((0, 300), (300, 601), (601, 900)):
-            rb = batch.update_many(t[start:stop], v[start:stop])
-            ro = other.update_many(t[start:stop], v[start:stop])
-            assert (rb is None) == (ro is None)
-            if rb is not None:
-                np.testing.assert_allclose(ro.h, rb.h,
-                                           rtol=1e-9, atol=1e-8)
+            batch.update_many(t[start:stop], v[start:stop])
+            other.update_many(t[start:stop], v[start:stop])
+            np.testing.assert_array_equal(other.indicator_times,
+                                          batch.indicator_times)
+            np.testing.assert_allclose(other.indicator_history,
+                                       batch.indicator_history,
+                                       rtol=1e-9, atol=1e-8)
 
     def test_empty_batch_is_noop(self):
-        engine = create_holder_engine("batch", history=256, tail=64)
-        assert engine.update_many([], []) is None
-        assert engine.n_buffered == 0
+        monitor = self._monitor()
+        assert monitor.update_many([], []) is False
+        assert monitor.n_samples == 0
 
     @pytest.mark.parametrize("times,values", [
         ([0.0, 1.0], [1.0]),                        # length mismatch
@@ -136,77 +120,29 @@ class TestStreaming:
         ([1.0, 1.0], [1.0, 2.0]),                   # not strictly ordered
     ])
     def test_bad_batches_rejected(self, times, values):
-        engine = create_holder_engine("batch", history=256, tail=64)
+        monitor = self._monitor()
         with pytest.raises(AnalysisError):
-            engine.update_many(times, values)
+            monitor.update_many(times, values)
+        assert monitor.n_samples == 0
 
     def test_time_must_advance_across_calls(self):
-        engine = create_holder_engine("batch", history=256, tail=64)
-        engine.update_many([0.0, 1.0], [1.0, 2.0])
+        monitor = self._monitor()
+        monitor.update_many([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(AnalysisError, match="strict time order"):
-            engine.update_many([1.0, 2.0], [3.0, 4.0])
+            monitor.update_many([1.0, 2.0], [3.0, 4.0])
 
 
 class TestConstructionValidation:
     def test_tail_cannot_exceed_history(self):
-        with pytest.raises(ValidationError, match="cannot exceed history"):
-            create_holder_engine("batch", history=256, tail=512)
+        with pytest.raises(AnalysisError, match="cannot exceed history"):
+            OnlineAgingMonitor(history=256, indicator_window=512)
 
     def test_history_floor(self):
         with pytest.raises(ValidationError):
-            create_holder_engine("batch", history=16, tail=8)
+            OnlineAgingMonitor(history=16, indicator_window=16)
 
-    @pytest.mark.parametrize("name", ("sliding", "online"))
+    @pytest.mark.parametrize("name", HOLDER_ENGINES)
     def test_bad_holder_kwargs_fail_eagerly(self, name):
         with pytest.raises(AnalysisError, match="holder_kwargs"):
-            create_holder_engine(name, no_such_kwarg=1)
-
-
-class TestMonitorIntegration:
-    def test_online_engine_matches_sliding_in_monitor(self):
-        t, v = _signal(6_144)
-        sliding = OnlineAgingMonitor(holder_engine="sliding")
-        online = OnlineAgingMonitor(holder_engine="online")
-        sliding.update_many(t, v)
-        online.update_many(t, v)
-        np.testing.assert_array_equal(sliding.indicator_history,
-                                      online.indicator_history)
-        np.testing.assert_array_equal(sliding.indicator_times,
-                                      online.indicator_times)
-        assert sliding.alarm_time == online.alarm_time
-
-    def test_monitor_accepts_engine_instance(self):
-        engine = create_holder_engine("batch", history=4096, tail=512)
-        monitor = OnlineAgingMonitor(holder_engine=engine)
-        t, v = _signal(5_120)
-        monitor.update_many(t, v)
-        assert len(monitor.indicator_history) > 0
-
-
-class TestPipelineIntegration:
-    @pytest.mark.parametrize("name", ("sliding", "online"))
-    def test_analysis_payload_identical_across_engines(self, name):
-        _, v = _signal(2_048, seed=21)
-        ts = TimeSeries.from_values(v, name="avail")
-        kwargs = dict(indicator_window=128, indicator_step=8)
-        base = analyze_counter(ts, holder_engine="batch", **kwargs)
-        other = analyze_counter(ts, holder_engine=name, **kwargs)
-        np.testing.assert_array_equal(base.trajectory.h, other.trajectory.h)
-        np.testing.assert_array_equal(base.indicator.series.values,
-                                      other.indicator.series.values)
-        assert base.alarm.fired == other.alarm.fired
-        assert base.alarm.alarm_time == other.alarm.alarm_time
-
-    def test_unknown_engine_rejected_in_pipeline(self):
-        _, v = _signal(1_024)
-        ts = TimeSeries.from_values(v, name="avail")
-        with pytest.raises(ValidationError, match="holder_engine"):
-            analyze_counter(ts, holder_engine="warp", indicator_window=128)
-
-    def test_experiment_spec_validates_engine(self):
-        from repro.analysis.campaign import ExperimentSpec
-
-        with pytest.raises(ValidationError, match="holder_engine"):
-            ExperimentSpec(name="bad", holder_engine="warp")
-        spec = ExperimentSpec(name="ok", holder_engine="sliding")
-        assert spec.holder_engine == "sliding"
+            OnlineAgingMonitor(holder_engine=name,
+                               holder_kwargs={"no_such_kwarg": 1})

@@ -353,6 +353,20 @@ class TestResultsSchemaV2:
         assert all(r.detector == "holder" for r in cell.runs)
         assert all(r.peak_healthy is None for r in cell.runs)
 
+    def test_legacy_holder_engine_key_dropped(self, grid_results, tmp_path):
+        # v2 files written while specs carried a Hölder engine name still
+        # load, even under the since-deleted "online" name.
+        path = tmp_path / "legacy.json"
+        save_results(grid_results, path)
+        payload = json.loads(path.read_text())
+        for cell in payload["cells"].values():
+            cell["spec"]["holder_engine"] = "online"
+        path.write_text(json.dumps(payload))
+        loaded = load_results(path)
+        for name in grid_results:
+            assert loaded[name].spec == grid_results[name].spec
+            assert loaded[name].runs == grid_results[name].runs
+
     def test_unknown_version_rejected(self, grid_results, tmp_path):
         path = tmp_path / "future.json"
         save_results(grid_results, path)

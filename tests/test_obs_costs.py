@@ -35,7 +35,8 @@ class TestClassification:
         ("analyze-counter/preprocess", "analysis"),
         ("analyze-counter/detector", "analysis"),
         ("machine-collect", "trace-io"),
-        ("cell-run/write-csv", "trace-io"),
+        ("cell-run/trace-write", "trace-io"),
+        ("trace-read", "trace-io"),
         ("campaign-pool", "pool-overhead"),
         ("campaign-pool/campaign-worker/cell-run", "pool-overhead"),
         # Unlisted leaf inherits its nearest classified ancestor.
@@ -47,7 +48,7 @@ class TestClassification:
 
     @pytest.mark.parametrize("name, phase", [
         ("fractal.cwt", "cwt-holder"),
-        ("perf.sliding_holder", "cwt-holder"),
+        ("core.holder_tail", "cwt-holder"),
         ("core.holder_trajectory", "cwt-holder"),
         ("core.analyze_counter", "analysis"),
         ("memsim.machine_step", "simulate"),
@@ -243,3 +244,17 @@ class TestSessionIntegration:
         phases = {path: classify_span(path) for path in paths}
         assert "simulate" in phases.values()
         assert [path for path, phase in phases.items() if phase == "other"] == []
+
+    @pytest.mark.parametrize("name", ["run.csv", "run-store"])
+    def test_trace_store_round_trip_classified(self, tmp_path, name):
+        from repro.obs import session as _obs
+        from repro.trace import TimeSeries, TraceBundle
+        from repro.trace.store import read_bundle, write_bundle
+
+        bundle = TraceBundle(metadata={"seed": 1})
+        bundle.add(TimeSeries.from_values([1.0, 2.0, 3.0], name="avail"))
+        with _obs.telemetry_session() as session:
+            read_bundle(write_bundle(bundle, tmp_path / name))
+            paths = [r["path"] for r in session.spans.to_list()]
+        assert sorted(paths) == ["trace-read", "trace-write"]
+        assert {classify_span(path) for path in paths} == {"trace-io"}

@@ -1,13 +1,12 @@
-"""Tests for the sliding Hölder estimator and the monitor's fast paths."""
+"""Tests for the sliding Hölder tail and the monitor's fast paths."""
 
 import numpy as np
 import pytest
 
-from repro.core.holder import wavelet_holder
+from repro.core.holder import holder_tail, wavelet_holder
 from repro.core.online import OnlineAgingMonitor
 from repro.exceptions import AnalysisError, ValidationError
 from repro.obs import session as _obs
-from repro.perf.sliding_cwt import SlidingHolderEstimator
 
 
 @pytest.fixture(scope="module")
@@ -21,42 +20,58 @@ def crashing_counter():
     return result.bundle["AvailableBytes"].values
 
 
+def _segments(x, tail, **kwargs):
+    """``holder_tail`` plus how many truncated segments it transformed."""
+    with _obs.telemetry_session() as session:
+        h = holder_tail(x, tail, **kwargs)
+        return h, session.metrics.counter("perf.sliding.segments").value
+
+
 class TestSlidingHolderEstimator:
     def test_tail_matches_batch_on_crashing_trace(self, crashing_counter):
         window = crashing_counter[-4096:]
-        est = SlidingHolderEstimator(tail=512)
-        tail = est.holder_tail(window)
+        tail = holder_tail(window, 512)
         batch = wavelet_holder(window)[-512:]
         assert tail.shape == (512,)
         np.testing.assert_allclose(tail, batch, rtol=1e-9, atol=1e-8)
 
     def test_tail_matches_batch_on_fbm(self):
-        rng = np.random.default_rng(17)
-        x = np.cumsum(rng.normal(size=6000))
-        est = SlidingHolderEstimator(tail=256, max_scale=24.0, n_scales=10)
-        tail = est.holder_tail(x)
-        batch = wavelet_holder(x, max_scale=24.0, n_scales=10)[-256:]
-        np.testing.assert_allclose(tail, batch, rtol=1e-9, atol=1e-8)
+        # (length, tail, wavelet_holder kwargs): long and short windows,
+        # narrow and wide tails, default and custom scale bands.
+        for n, tail, kwargs in ((6_000, 256, dict(max_scale=24.0, n_scales=10)),
+                                (2_048, 64, {}),
+                                (2_048, 256, {}),
+                                (1_024, 128, dict(max_scale=16.0, n_scales=8))):
+            x = np.cumsum(np.random.default_rng(17).normal(size=n))
+            h, segments = _segments(x, tail, **kwargs)
+            assert segments == 1
+            np.testing.assert_allclose(
+                h, wavelet_holder(x, **kwargs)[-tail:], rtol=1e-9, atol=1e-8)
 
     def test_short_window_falls_back_to_batch_exactly(self):
-        rng = np.random.default_rng(5)
-        x = np.cumsum(rng.normal(size=700))
-        est = SlidingHolderEstimator(tail=512)
-        assert x.size <= est.segment_length
-        np.testing.assert_array_equal(
-            est.holder_tail(x), wavelet_holder(x)[-512:])
+        # A window no longer than the segment, and a tail as long as the
+        # window (the full trajectory), both take the batch path.
+        for n, tail in ((700, 512), (2_048, 2_048)):
+            x = np.cumsum(np.random.default_rng(5).normal(size=n))
+            h, segments = _segments(x, tail)
+            assert segments == 0
+            np.testing.assert_array_equal(h, wavelet_holder(x)[-tail:])
 
     def test_segment_length_accounts_for_support_and_cone(self):
-        est = SlidingHolderEstimator(tail=512, max_scale=32.0)
-        assert est.segment_length == 512 + 32 + 320
+        # tail + round(max_scale) cone reach + 10 * max_scale support.
+        segment = 512 + 32 + 320
+        x = np.cumsum(np.random.default_rng(9).normal(size=segment + 1))
+        assert _segments(x[1:], 512, max_scale=32.0)[1] == 0
+        assert _segments(x, 512, max_scale=32.0)[1] == 1
 
     def test_validation(self):
+        x = np.cumsum(np.random.default_rng(1).normal(size=1_024))
         with pytest.raises(ValidationError):
-            SlidingHolderEstimator(tail=0)
+            holder_tail(x, 0)
         with pytest.raises(ValidationError):
-            SlidingHolderEstimator(tail=64, max_scale=2.0, min_scale=4.0)
+            holder_tail(x, 64, max_scale=2.0, min_scale=4.0)
         with pytest.raises(ValidationError):
-            SlidingHolderEstimator(tail=64, support_mult=2.0)
+            holder_tail(x, 64, n_scales=2)
 
 
 def _drifting_signal(n, seed=7):
@@ -72,9 +87,10 @@ class TestMonitorEngines:
             OnlineAgingMonitor(holder_engine="warp")
 
     def test_bad_holder_kwargs_rejected_at_construction(self):
-        with pytest.raises(AnalysisError):
-            OnlineAgingMonitor(holder_engine="sliding",
-                               holder_kwargs={"no_such_kwarg": 1})
+        for name in ("batch", "sliding"):
+            with pytest.raises(AnalysisError, match="holder_kwargs"):
+                OnlineAgingMonitor(holder_engine=name,
+                                   holder_kwargs={"no_such_kwarg": 1})
 
     def test_sliding_engine_matches_batch_indicators_and_alarm(self):
         t, v = _drifting_signal(12_288)
