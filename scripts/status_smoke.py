@@ -30,11 +30,17 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.error
 import urllib.request
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 URL_PATTERN = re.compile(r"http://127\.0\.0\.1:(\d+)/status")
+
+# A campaign closes its status server just before it exits, so a scrape
+# can be refused in between; one that exits within this many seconds of
+# a refused scrape has finished, not failed.
+EXIT_GRACE_S = 10.0
 
 
 def campaign_cmd(out: str, *extra: str, max_seconds: float) -> list:
@@ -93,8 +99,16 @@ def phase_live_scrape(workdir: str, *, max_seconds: float) -> None:
 
         statuses = []
         while proc.poll() is None:
-            statuses.append(scrape_json(base, "/status"))
-            metrics = scrape_text(base, "/metrics")
+            try:
+                status = scrape_json(base, "/status")
+                metrics = scrape_text(base, "/metrics")
+            except (urllib.error.URLError, ConnectionError) as exc:
+                try:
+                    proc.wait(timeout=EXIT_GRACE_S)
+                except subprocess.TimeoutExpired:
+                    raise exc from None
+                break
+            statuses.append(status)
             if not metrics.endswith("# EOF\n"):
                 raise SystemExit(
                     "FAIL [live-scrape]: /metrics is not OpenMetrics text")

@@ -51,6 +51,7 @@ from ..baselines import (
 from ..core import analyze_counter
 from ..core.detectors import HolderVarianceDetector
 from ..exceptions import ValidationError
+from ..obs import session as _obs
 from ..trace.series import TraceBundle
 
 __all__ = [
@@ -228,7 +229,8 @@ def evaluate_detector(name: str, bundle: TraceBundle, spec, *,
         raise ValidationError(
             f"unknown detector {name!r}; registered: {detector_names()}"
         ) from None
-    return adapter.evaluate(bundle, spec, collect_scores=collect_scores)
+    with _obs.span("evaluate-detector", detector=name):
+        return adapter.evaluate(bundle, spec, collect_scores=collect_scores)
 
 
 register_detector(_HolderDetector("holder"))

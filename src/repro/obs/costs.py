@@ -12,7 +12,8 @@ did the wall time go":
   pool span overlaps its concurrent workers),
 * classified into the pipeline's five **phases** — ``simulate``
   (machine setup/run, vector-fleet presimulation), ``cwt-holder`` (the wavelet transform + Hölder
-  trajectory), ``analysis`` (preprocess/indicator/detector),
+  trajectory), ``analysis`` (detector evaluation:
+  preprocess/indicator/detector and the baseline detectors),
   ``trace-io`` (trace collection and CSV writes) and ``pool-overhead``
   (pool scheduling, worker glue) — with unmatched names inheriting the
   nearest classified ancestor, else ``other``,
@@ -60,6 +61,7 @@ _PHASE_BY_SPAN = {
     "preprocess": "analysis",
     "indicator": "analysis",
     "detector": "analysis",
+    "evaluate-detector": "analysis",
     "machine-collect": "trace-io",
     "trace-write": "trace-io",
     "trace-read": "trace-io",

@@ -39,6 +39,8 @@ class TestClassification:
         ("trace-read", "trace-io"),
         ("campaign-pool", "pool-overhead"),
         ("campaign-pool/campaign-worker/cell-run", "pool-overhead"),
+        ("cell-run/evaluate-detector", "analysis"),
+        ("cell-run/evaluate-detector/analyze-counter/holder", "cwt-holder"),
         # Unlisted leaf inherits its nearest classified ancestor.
         ("analyze-counter/custom-step", "analysis"),
         ("mystery", "other"),
@@ -244,6 +246,22 @@ class TestSessionIntegration:
         phases = {path: classify_span(path) for path in paths}
         assert "simulate" in phases.values()
         assert [path for path, phase in phases.items() if phase == "other"] == []
+
+    def test_baseline_detector_time_booked_as_analysis(self):
+        from repro.analysis.campaign import ExperimentSpec, execute_campaign
+        from repro.obs import session as _obs
+
+        specs = [ExperimentSpec(name="aging", n_runs=1, base_seed=3,
+                                fault_factor=4.0, max_run_seconds=6_000.0,
+                                detector_name="trend")]
+        with _obs.telemetry_session() as session:
+            execute_campaign(specs, workers=1)
+            costs = build_cost_profile(session.spans.to_list())
+        [center] = [c for c in costs["top_cost_centers"]
+                    if c["path"].endswith("cell-run/evaluate-detector")]
+        assert center["phase"] == "analysis"
+        assert center["self_seconds"] > 0
+        assert costs["phases"]["analysis"]["self_seconds"] > 0
 
     @pytest.mark.parametrize("name", ["run.csv", "run-store"])
     def test_trace_store_round_trip_classified(self, tmp_path, name):
