@@ -10,8 +10,10 @@ Three phases, each compared against an uninterrupted reference run:
    reference payload.
 3. **Parent kill** — the campaign runs with a checkpoint journal and
    the *parent* process is SIGKILLed as soon as the journal shows
-   completed units; ``--resume`` must then execute only the missing
-   units and produce the reference payload.
+   completed units.  Its pool workers must exit on their own within
+   10 s.  A torn fragment is then appended to the journal, as a kill
+   mid-append would leave; ``--resume`` must trim it, execute only the
+   missing units, journal every unit and produce the reference payload.
 
 Run from the repo root::
 
@@ -33,6 +35,9 @@ import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+
+from repro.analysis.checkpoint import CampaignJournal  # noqa: E402
 
 
 def campaign_cmd(out: str, *extra: str, max_seconds: float) -> list:
@@ -52,18 +57,35 @@ def run(cmd: list) -> None:
 
 
 def journal_units(path: str) -> int:
-    if not os.path.exists(path):
+    """Distinct units journaled so far (0 for a missing or empty file)."""
+    if not os.path.exists(path) or os.path.getsize(path) == 0:
         return 0
-    count = 0
-    with open(path) as handle:
-        for line in handle:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # truncated in-flight line
-            if record.get("kind") == "unit":
-                count += 1
-    return count
+    return len(CampaignJournal.load(path))
+
+
+def child_pids(pid: int) -> list:
+    """Pids whose parent is ``pid``, read from /proc."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper is gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def assert_payloads_match(reference: str, candidate: str, label: str) -> None:
@@ -102,12 +124,28 @@ def phase_parent_kill(workdir: str, reference: str,
                 raise SystemExit(
                     "FAIL [parent-kill]: no journal unit appeared in time")
             time.sleep(0.05)
+        workers = child_pids(proc.pid)
+        if not workers:
+            raise SystemExit("FAIL [parent-kill]: the campaign has no "
+                             "worker processes to watch")
         proc.send_signal(signal.SIGKILL)
         proc.wait()
     finally:
         if proc.poll() is None:  # pragma: no cover - belt and braces
             proc.kill()
             proc.wait()
+
+    deadline = time.monotonic() + 10
+    while any(alive(pid) for pid in workers):
+        if time.monotonic() > deadline:
+            stragglers = [pid for pid in workers if alive(pid)]
+            for pid in stragglers:
+                os.kill(pid, signal.SIGKILL)
+            raise SystemExit(
+                f"FAIL [parent-kill]: worker(s) {stragglers} outlived the "
+                f"SIGKILLed parent by more than 10 s")
+        time.sleep(0.1)
+    print(f"parent's {len(workers)} worker(s) exited after the kill")
 
     completed = journal_units(journal)
     total = 4  # 2 cells x 2 runs
@@ -118,6 +156,10 @@ def phase_parent_kill(workdir: str, reference: str,
             "FAIL [parent-kill]: every unit was already journaled before "
             "the kill landed; raise --max-seconds so units take longer")
 
+    # A kill mid-append leaves a torn line; resume must trim it, not
+    # glue the next unit onto it.
+    with open(journal, "a") as handle:
+        handle.write('{"kind": "unit", "key": "torn#0", "payl')
     run(campaign_cmd(resumed, "--journal", journal, "--resume",
                      max_seconds=max_seconds))
     if journal_units(journal) < total:

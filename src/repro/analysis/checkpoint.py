@@ -12,12 +12,12 @@ the moment it completes:
   appended with an ``fsync`` per line so a SIGKILL at any instant loses
   at most the unit in flight.
 
-:func:`CampaignJournal.load` tolerates exactly the damage a crash can
-cause — a truncated final line — and rejects anything else (corrupt
-interior lines, foreign schemas, fingerprint mismatches) loudly.
-Because completed units are keyed by a config/seed fingerprint and the
-work itself is deterministic, ``campaign --resume`` produces a payload
-bit-identical to an uninterrupted run.
+Crash damage follows the policy every append-only stream shares
+(:mod:`repro.obs.jsonl`); on top of it the journal rejects foreign
+schemas and fingerprint mismatches.  Because completed units are keyed
+by a config/seed fingerprint and the work itself is deterministic,
+``campaign --resume`` produces a payload bit-identical to an
+uninterrupted run.
 
 The journal is deliberately campaign-agnostic (keys and JSON payloads),
 so fleet-scale tooling can reuse it for any resumable unit-of-work map.
@@ -30,11 +30,11 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 from ..exceptions import TraceError, ValidationError
 from ..obs import session as _obs
-from ..obs.atomic import fsync_handle
+from ..obs.jsonl import check_stream, open_append, read_jsonl, write_record
 from ..obs.logger import get_logger
 
 __all__ = [
@@ -94,17 +94,16 @@ class CampaignJournal:
                      and os.path.getsize(self.path) > 0)
         if not fresh:
             # Appending to an existing journal: it must belong to this
-            # campaign.  load() validates header + fingerprint.
+            # campaign.  load() validates header + fingerprint, and
+            # open_append() trims a torn tail left by a killed run.
             self.load(self.path, fingerprint=fingerprint)
-        self._handle = open(self.path, "a")
+        self._handle = open_append(self.path)
         if fresh:
             self._append({"kind": "header", "schema": JOURNAL_SCHEMA,
                           "fingerprint": fingerprint})
 
     def _append(self, record: dict) -> None:
-        self._handle.write(json.dumps(record, sort_keys=True))
-        self._handle.write("\n")
-        fsync_handle(self._handle)
+        write_record(self._handle, record, durable=True)
 
     def record_unit(self, key: str, payload: dict) -> None:
         """Durably journal one completed unit (flushed + fsynced).
@@ -131,13 +130,6 @@ class CampaignJournal:
 
     # -- reading -----------------------------------------------------------
 
-    @staticmethod
-    def _lines(path: str) -> Iterator[tuple[int, str, bool]]:
-        with open(path, "r") as handle:
-            lines = handle.readlines()
-        for i, line in enumerate(lines):
-            yield i + 1, line, i == len(lines) - 1
-
     @classmethod
     def load(
         cls,
@@ -148,13 +140,10 @@ class CampaignJournal:
         """Read a journal back as ``{key: payload}``.
 
         Validates the header schema and (when given) the campaign
-        fingerprint.  A truncated *final* line — the only damage a
-        crash mid-append can cause — is dropped with a warning and a
-        ``campaign.journal_truncated`` counter increment; a corrupt
-        interior line means the file was not written by this journal
-        and is a hard :class:`~repro.exceptions.TraceError`.  Duplicate
-        keys keep the first record (units are deterministic, so later
-        duplicates are identical re-executions).
+        fingerprint.  A torn final line is dropped with a warning and a
+        ``campaign.journal_truncated`` count.  Duplicate keys keep the
+        first record (units are deterministic, so later duplicates are
+        identical re-executions).
         """
         return cls.read_state(path, fingerprint=fingerprint).units
 
@@ -168,52 +157,27 @@ class CampaignJournal:
         """Like :meth:`load`, but return the full :class:`JournalState`
         (units plus the last-progress heartbeat)."""
         path = os.fspath(path)
-        header: Optional[dict] = None
+        records, torn = read_jsonl(path, name="journal")
+        if torn is not None:
+            _log.warning("dropping truncated final journal line "
+                         "(crash mid-append)", path=path, line=torn)
+            _obs.counter("campaign.journal_truncated").inc()
+        check_stream(records, schema=JOURNAL_SCHEMA, name="journal")
+        if (fingerprint is not None
+                and records[0].get("fingerprint") != fingerprint):
+            raise TraceError(
+                f"journal {path} belongs to a different campaign "
+                f"(fingerprint {records[0].get('fingerprint')!r}, "
+                f"expected {fingerprint!r}); refusing to resume")
         units: Dict[str, dict] = {}
         last_progress_at: Optional[float] = None
-        for lineno, line, is_last in cls._lines(path):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if is_last:
-                    _log.warning(
-                        "dropping truncated final journal line "
-                        "(crash mid-append)", path=path, line=lineno)
-                    _obs.counter("campaign.journal_truncated").inc()
-                    continue
-                raise TraceError(
-                    f"corrupt journal line {lineno} in {path} "
-                    f"(not crash damage: interior lines are written "
-                    f"atomically per record)")
-            if not isinstance(record, dict):
-                raise TraceError(
-                    f"journal line {lineno} in {path} is not an object")
+        for n, record in enumerate(records[1:], start=2):
             kind = record.get("kind")
-            if header is None:
-                if kind != "header":
-                    raise TraceError(
-                        f"{path} does not start with a journal header")
-                if record.get("schema") != JOURNAL_SCHEMA:
-                    raise TraceError(
-                        f"unsupported journal schema "
-                        f"{record.get('schema')!r} in {path} "
-                        f"(expected {JOURNAL_SCHEMA!r})")
-                if (fingerprint is not None
-                        and record.get("fingerprint") != fingerprint):
-                    raise TraceError(
-                        f"journal {path} belongs to a different campaign "
-                        f"(fingerprint {record.get('fingerprint')!r}, "
-                        f"expected {fingerprint!r}); refusing to resume")
-                header = record
-                continue
             if kind == "unit":
                 key = record.get("key")
                 payload = record.get("payload")
                 if not isinstance(key, str) or not isinstance(payload, dict):
-                    raise TraceError(
-                        f"malformed unit record at line {lineno} in {path}")
+                    raise TraceError(f"malformed unit record {n} in {path}")
                 units.setdefault(key, payload)
                 heartbeat = record.get("wall_time")
                 if isinstance(heartbeat, (int, float)):
@@ -224,7 +188,5 @@ class CampaignJournal:
                 # Unknown-but-well-formed kinds are skipped so newer
                 # journal writers stay readable by older tools.
                 _log.warning("skipping unknown journal record kind",
-                             path=path, line=lineno, kind=kind)
-        if header is None:
-            raise TraceError(f"{path} contains no journal header")
+                             path=path, record=n, kind=kind)
         return JournalState(units=units, last_progress_at=last_progress_at)

@@ -1293,11 +1293,9 @@ def cmd_timeline(args: argparse.Namespace) -> int:
     print(render_kv(flat, title=f"Timeline {args.path}"))
 
     if args.slice_out:
-        from .obs.atomic import atomic_write
+        from .obs.jsonl import write_jsonl
 
-        with atomic_write(args.slice_out) as handle:
-            for record in view:
-                handle.write(_json.dumps(record) + "\n")
+        write_jsonl(args.slice_out, view)
         print(f"slice -> {args.slice_out} ({len(view)} records)")
     if args.csv:
         from .obs.atomic import atomic_write_text

@@ -14,7 +14,8 @@ raising a crash warning before failure.  Three pieces:
   ``alert`` (rule-engine firings), ``status`` (periodic heartbeat),
   ``crash`` and ``end`` (termination summary).  Streams are validated
   line-by-line (:func:`validate_event`, :func:`validate_stream`) so a
-  consumer never has to guess at half-written or foreign files.
+  consumer never has to guess at half-written or foreign files; the
+  line format and damage policy are :mod:`repro.obs.jsonl`'s.
 * :class:`EventStreamWriter` — emits schema-valid events to a line
   handle (flushing per line, so streams can be tailed), mirrors alert
   firings into the current telemetry session as events plus
@@ -31,13 +32,13 @@ CLI front end is ``python -m repro watch``.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from typing import Callable, Dict, List, Optional, Sequence, TextIO
 
 from ..exceptions import TraceError
 from .alerts import AlertEngine, AlertFiring
+from .jsonl import check_stream, read_jsonl, write_record
 from .logger import get_logger
 from . import session as _obs
 
@@ -110,43 +111,17 @@ def validate_event(event: object, *, where: str = "event") -> dict:
 
 
 def validate_stream(events: Sequence[dict]) -> Dict[str, int]:
-    """Validate a whole stream; returns per-kind event counts.
-
-    Checks every event, that the stream opens with a ``header`` of the
-    supported schema, and that event times never go backwards.
-    """
-    if not events:
-        raise TraceError("empty watch stream (no events)")
-    counts: Dict[str, int] = {}
-    last_t: Optional[float] = None
+    """Validate every event, then the stream as a whole
+    (:func:`repro.obs.jsonl.check_stream`); returns per-kind counts."""
     for i, event in enumerate(events):
         validate_event(event, where=f"event {i}")
-        if i == 0 and event["kind"] != "header":
-            raise TraceError(
-                f"stream must open with a header event, got {event['kind']!r}")
-        if i > 0 and event["kind"] == "header":
-            raise TraceError(f"event {i}: duplicate header mid-stream")
-        t = float(event["t"])
-        if last_t is not None and t < last_t:
-            raise TraceError(
-                f"event {i}: time goes backwards ({t} after {last_t})")
-        last_t = t
-        counts[event["kind"]] = counts.get(event["kind"], 0) + 1
-    return counts
+    return check_stream(events, schema=WATCH_SCHEMA, name="watch",
+                        kinds=EVENT_KINDS)
 
 
 def read_events(path: str | os.PathLike, *, validate: bool = True) -> List[dict]:
     """Read a JSONL watch stream back; validates by default."""
-    events: List[dict] = []
-    with open(os.fspath(path), "r") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+    events, _ = read_jsonl(path, name="watch")
     if validate:
         validate_stream(events)
     return events
@@ -194,9 +169,7 @@ class EventStreamWriter:
                 f"({event['t']} after {self._last_t})")
         self._last_t = event["t"]
         if self._handle is not None:
-            self._handle.write(json.dumps(event, default=str))
-            self._handle.write("\n")
-            self._handle.flush()
+            write_record(self._handle, event)
         if self._keep:
             self.events.append(event)
         self.counts[kind] = self.counts.get(kind, 0) + 1

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..exceptions import TraceError, ValidationError
-from .atomic import atomic_write, atomic_write_json
+from .atomic import atomic_write_json
+from .jsonl import write_jsonl
 from .session import TelemetrySession
 
 __all__ = [
@@ -158,10 +159,7 @@ def write_manifest(manifest: RunManifest, out_dir: str | os.PathLike) -> str:
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, MANIFEST_FILENAME)
-    with atomic_write(os.path.join(out_dir, EVENTS_FILENAME)) as handle:
-        for event in manifest.events:
-            handle.write(json.dumps(event, default=str))
-            handle.write("\n")
+    write_jsonl(os.path.join(out_dir, EVENTS_FILENAME), manifest.events)
     atomic_write_json(manifest_path, manifest.to_dict(), default=str)
     return manifest_path
 

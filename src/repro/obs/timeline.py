@@ -17,8 +17,8 @@ artifact (schema ``repro.timeline/1``).
   itself streams into an :func:`~repro.obs.atomic.atomic_write`
   temporary and appears atomically at :meth:`~TimelineRecorder.finalize`.
 * :func:`read_timeline` / :func:`validate_timeline` — load and check a
-  saved stream (header first, known kinds, monotone times, truncated
-  final line tolerated like the campaign journal).
+  saved stream under the line format and damage policy of
+  :mod:`repro.obs.jsonl`, plus the timeline's frame ``seq`` order.
 * :func:`slice_timeline`, :func:`timeline_summary`,
   :func:`timeline_to_csv` — the ``repro timeline`` subcommand's
   primitives: time-range slicing, a human digest, and a long-format
@@ -34,15 +34,15 @@ snapshots and never touches campaign payloads.
 from __future__ import annotations
 
 import collections
-import json
 import os
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..exceptions import ValidationError
+from ..exceptions import TraceError, ValidationError
 from . import session as _session
-from .atomic import atomic_write, fsync_handle
+from .atomic import atomic_write
+from .jsonl import check_stream, read_jsonl, write_record
 from .logger import get_logger
 from .metrics import Counter
 from . import ops as _ops
@@ -161,8 +161,7 @@ class TimelineRecorder:
             self._ring.append(record)
             if self._handle is not None:
                 try:
-                    self._handle.write(json.dumps(record) + "\n")
-                    self._handle.flush()
+                    write_record(self._handle, record)
                 except (OSError, ValueError):  # pragma: no cover - disk full
                     pass
 
@@ -342,10 +341,7 @@ class TimelineRecorder:
             "annotations": self.n_annotations,
         })
         if self._ctx is not None:
-            try:
-                fsync_handle(self._handle)
-            except (OSError, ValueError):  # pragma: no cover
-                pass
+            # Leaving atomic_write fsyncs the temporary and renames it.
             ctx, self._ctx, self._handle = self._ctx, None, None
             try:
                 ctx.__exit__(None, None, None)
@@ -368,28 +364,10 @@ class TimelineRecorder:
 # -- reading / validation ------------------------------------------------------
 
 def read_timeline(path: str | os.PathLike) -> List[dict]:
-    """Load a timeline JSONL file; tolerates a truncated final line.
-
-    (The recorder only publishes complete files, but a copied-out
-    temporary from a killed run should still load — same stance as the
-    campaign journal.)
-    """
-    records: List[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for i, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                # Only the final line may be torn.
-                remainder = handle.read(1)
-                if remainder:
-                    raise ValidationError(
-                        f"timeline line {i + 1} is corrupt (not the final "
-                        f"line) in {os.fspath(path)!r}")
-                break
+    """Load a timeline JSONL file; a torn final line (a temporary copied
+    out of a killed run) is dropped, as for every :mod:`repro.obs.jsonl`
+    stream."""
+    records, _ = read_jsonl(path, name="timeline")
     return records
 
 
@@ -397,60 +375,22 @@ _KNOWN_KINDS = ("header", "frame", "annotation", "end")
 
 
 def validate_timeline(records: Sequence[dict]) -> Dict[str, int]:
-    """Structural check of a timeline stream; returns counts by kind.
-
-    Enforces: non-empty, header first with the right schema, only known
-    record kinds, ``t`` present and monotone non-decreasing, frame
-    ``seq`` strictly increasing, at most one ``end`` (and nothing after
-    it).
-    """
-    if not records:
-        raise ValidationError("empty timeline stream")
-    header = records[0]
-    if header.get("kind") != "header":
-        raise ValidationError(
-            f"timeline must start with a header record, got "
-            f"{header.get('kind')!r}")
-    if header.get("schema") != TIMELINE_SCHEMA:
-        raise ValidationError(
-            f"unsupported timeline schema {header.get('schema')!r} "
-            f"(expected {TIMELINE_SCHEMA!r})")
-    counts: Dict[str, int] = {}
-    last_t = None
+    """Run :func:`repro.obs.jsonl.check_stream`, then require strictly
+    increasing frame ``seq``; returns counts by kind."""
+    counts = check_stream(records, schema=TIMELINE_SCHEMA, name="timeline",
+                          kinds=_KNOWN_KINDS)
     last_seq = None
-    ended = False
-    for i, record in enumerate(records):
-        kind = record.get("kind")
-        if kind not in _KNOWN_KINDS:
-            raise ValidationError(
-                f"unknown timeline record kind {kind!r} at line {i + 1}")
-        if kind == "header" and i != 0:
-            raise ValidationError(f"duplicate header at line {i + 1}")
-        if ended:
-            raise ValidationError(
-                f"record after the end record at line {i + 1}")
-        t = record.get("t")
-        if not isinstance(t, (int, float)) or t != t:
-            raise ValidationError(
-                f"timeline record at line {i + 1} lacks a finite t")
-        if last_t is not None and t < last_t:
-            raise ValidationError(
-                f"non-monotone timeline time at line {i + 1}: "
-                f"{t} < {last_t}")
-        last_t = t
-        if kind == "frame":
-            seq = record.get("seq")
-            if not isinstance(seq, int):
-                raise ValidationError(
-                    f"frame at line {i + 1} lacks an integer seq")
-            if last_seq is not None and seq <= last_seq:
-                raise ValidationError(
-                    f"frame seq not increasing at line {i + 1}: "
-                    f"{seq} after {last_seq}")
-            last_seq = seq
-        if kind == "end":
-            ended = True
-        counts[kind] = counts.get(kind, 0) + 1
+    for n, record in enumerate(records, start=1):
+        if record.get("kind") != "frame":
+            continue
+        seq = record.get("seq")
+        if not isinstance(seq, int):
+            raise TraceError(f"frame at record {n} lacks an integer seq")
+        if last_seq is not None and seq <= last_seq:
+            raise TraceError(
+                f"frame seq not increasing at record {n}: "
+                f"{seq} after {last_seq}")
+        last_seq = seq
     return counts
 
 

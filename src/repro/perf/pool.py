@@ -39,6 +39,7 @@ from __future__ import annotations
 import os
 import pickle
 import random
+import threading
 import time
 import weakref
 import zlib
@@ -140,6 +141,19 @@ class UnitOutcome:
     def ok(self) -> bool:
         """True when the unit produced a result."""
         return self.error is None
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: exit this worker once its parent dies (a
+    SIGKILLed parent cannot shut its pool down)."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _run_unit(payload):
@@ -469,7 +483,8 @@ def _resilient_map(
         pool: Optional[ProcessPoolExecutor] = None
         futures: List[Tuple[int, object, object]] = []
         try:
-            pool = ProcessPoolExecutor(max_workers=min(usable, len(pending)))
+            pool = ProcessPoolExecutor(max_workers=min(usable, len(pending)),
+                                       initializer=_exit_with_parent)
             _ACTIVE_POOLS.add(pool)
             for index, item in pending:
                 attempt = outcomes[index].attempts + 1

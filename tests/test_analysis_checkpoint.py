@@ -152,6 +152,20 @@ class TestJournalDamage:
         with pytest.raises(TraceError, match="malformed unit record"):
             CampaignJournal.load(path)
 
+    def test_resume_after_torn_tail_keeps_every_unit(self, tmp_path):
+        # A parent killed mid-append leaves a torn line; two resumed
+        # runs must each append on a line of their own.
+        path = self.make(tmp_path, ("a#0", {"seed": 1}))
+        with open(path, "a") as handle:
+            handle.write('{"kind": "unit", "key": "a#1", "payl')
+        with CampaignJournal(path, fingerprint="fp") as journal:
+            journal.record_unit("a#1", {"seed": 2})
+        with CampaignJournal(path, fingerprint="fp") as journal:
+            journal.record_unit("a#2", {"seed": 3})
+        assert CampaignJournal.load(path, fingerprint="fp") == {
+            "a#0": {"seed": 1}, "a#1": {"seed": 2}, "a#2": {"seed": 3}}
+        assert all(json.loads(line) for line in path.read_text().splitlines())
+
 
 class TestJournalHeartbeat:
     def test_unit_lines_carry_wall_time(self, tmp_path):

@@ -357,7 +357,7 @@ class TestTimelineDashboard:
     def test_rejects_invalid_stream(self):
         from repro.obs.dashboard import render_timeline_dashboard
 
-        with pytest.raises(ValidationError):
+        with pytest.raises(TraceError):
             render_timeline_dashboard([{"kind": "frame", "seq": 0,
                                         "t": 0.0}])
 

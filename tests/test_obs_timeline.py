@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.analysis import cells_payload, execute_campaign
 from repro.analysis.campaign import ExperimentSpec
-from repro.exceptions import ValidationError
+from repro.exceptions import TraceError, ValidationError
 from repro.obs.ops import flight_dump, flight_note
 from repro.obs.resources import compact_resources
 from repro.obs.statusd import StatusBoard, StatusServer
@@ -269,7 +269,7 @@ class TestReadValidate:
                              "t": 0.0})
         frame = json.dumps({"kind": "frame", "seq": 0, "t": 1.0})
         path = self._stream(tmp_path, [header, "{not json", frame])
-        with pytest.raises(ValidationError, match="corrupt"):
+        with pytest.raises(TraceError, match="corrupt"):
             read_timeline(path)
 
     def _valid(self):
@@ -302,7 +302,7 @@ class TestReadValidate:
     def test_invalid_streams_rejected(self, mutate, message):
         records = self._valid()
         mutate(records)
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(TraceError, match=message):
             validate_timeline(records)
 
 

@@ -1,5 +1,9 @@
 """Tests for repro.perf.pool and the parallel campaign/fleet paths."""
 
+import os
+import signal
+import subprocess
+import sys
 import time
 from functools import partial
 
@@ -17,6 +21,9 @@ from repro.perf.pool import (
     resolve_workers,
 )
 from repro.testing.chaos import ChaosError, ChaosSpec, chaos_pre_unit
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 
 def _square(x):
@@ -360,3 +367,59 @@ class TestResilientMap:
             fallbacks = session.metrics.counter("perf.pool.fallbacks").value
         assert out == [4, 9, 16]
         assert fallbacks >= 1
+
+
+_ORPHAN_SCRIPT = """
+import os, signal, sys, threading, time
+from repro.perf.pool import parallel_map
+
+piddir = sys.argv[1]
+
+def unit(i):
+    with open(os.path.join(piddir, f"{os.getpid()}.pid"), "w"):
+        pass
+    time.sleep(120)
+    return i
+
+def kill_self_once_both_run():
+    while len(os.listdir(piddir)) < 2:
+        time.sleep(0.05)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+threading.Thread(target=kill_self_once_both_run, daemon=True).start()
+parallel_map(unit, [0, 1], workers=2)
+"""
+
+
+def _alive(pid):
+    """True while ``pid`` runs (a zombie awaiting its reaper is gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_workers_exit_when_parent_is_sigkilled(tmp_path):
+    piddir = tmp_path / "pids"
+    piddir.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _ORPHAN_SCRIPT,
+                           str(piddir)], env=env, timeout=120)
+    assert proc.returncode == -signal.SIGKILL
+    pids = [int(name.split(".")[0]) for name in os.listdir(piddir)]
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in pids):
+            assert time.monotonic() < deadline, (
+                f"workers {[p for p in pids if _alive(p)]} outlived "
+                f"their SIGKILLed parent")
+            time.sleep(0.1)
+    finally:
+        for pid in pids:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
