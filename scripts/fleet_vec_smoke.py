@@ -12,9 +12,11 @@ Three phases:
    reference (same cells, seeds, run counts, JSON shape), and the
    vector campaign must report the same crash behaviour class (the
    aging cell crashes, the healthy control does not).
-3. **Throughput gate** — the bench harness's ``memsim.fleet_vec`` case
-   (quick), whose setup itself enforces the >=10x hosts/sec floor over
-   the object path.
+3. **Throughput floor** — a 2-host object-engine reference fleet and a
+   128-host vector fleet of the same aging config are timed in this
+   process: the vector engine must simulate at least 10x more hosts per
+   wall second.  Both sides run in the same process moments apart, so
+   the floor is a same-run ratio that machine speed cancels out of.
 
 Run from the repo root::
 
@@ -37,6 +39,11 @@ import tempfile
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
+# Phase 3: hosts per engine and the vector-over-object hosts/sec floor.
+OBJECT_HOSTS = 2
+VECTOR_HOSTS = 128
+SPEEDUP_FLOOR = 10.0
+
 
 def child_env() -> dict:
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONUNBUFFERED="1")
@@ -56,16 +63,23 @@ def run(cmd: list) -> str:
     return proc.stdout
 
 
-def phase_fleet(n_hosts: int) -> None:
+def _aging_fleet_config(seed: int, budget: float):
+    """NT4 config with 6x faults — crashes well inside ``budget``."""
     from dataclasses import replace
 
+    from repro.memsim import MachineConfig
+
+    base = MachineConfig.nt4(seed=seed, max_run_seconds=budget)
+    return replace(base, faults=base.faults.scaled(6.0))
+
+
+def phase_fleet(n_hosts: int) -> None:
     import numpy as np
 
-    from repro.memsim import MachineConfig, VectorFleet, run_fleet_vector
+    from repro.memsim import VectorFleet, run_fleet_vector
     from repro.obs import session as _obs
 
-    base = MachineConfig.nt4(seed=5, max_run_seconds=4_000.0)
-    config = replace(base, faults=base.faults.scaled(6.0))
+    config = _aging_fleet_config(seed=5, budget=4_000.0)
 
     with _obs.telemetry_session() as session:
         fleet = VectorFleet(config, n_hosts)
@@ -160,17 +174,29 @@ def phase_campaign(workdir: str) -> None:
           f"runs); aging crashed, control survived")
 
 
-def phase_bench() -> None:
-    with tempfile.TemporaryDirectory(prefix="fleet-vec-bench-") as out:
-        stdout = run([
-            sys.executable, "-m", "repro", "bench", "--quick",
-            "--select", "memsim.fleet_vec", "--repeats", "1",
-            "--no-memory", "--out", out, "--no-compare",
-        ])
-    if "memsim.fleet_vec" not in stdout:
-        raise SystemExit("FAIL [bench]: fleet_vec case did not run")
-    print("ok [bench]: memsim.fleet_vec gate passed (>=10x hosts/sec floor "
-          "enforced in case setup)")
+def phase_throughput() -> None:
+    import time
+
+    from repro.memsim import VectorFleet, run_fleet
+
+    config = _aging_fleet_config(seed=1, budget=2_000.0)
+    t0 = time.perf_counter()
+    run_fleet(config, OBJECT_HOSTS, workers=1)
+    wall_obj = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    VectorFleet(config, VECTOR_HOSTS).run()
+    wall_vec = time.perf_counter() - t0
+    obj_rate = OBJECT_HOSTS / wall_obj
+    vec_rate = VECTOR_HOSTS / wall_vec
+    speedup = vec_rate / obj_rate
+    if speedup < SPEEDUP_FLOOR:
+        raise SystemExit(
+            f"FAIL [throughput]: vector fleet {speedup:.1f}x the object "
+            f"path ({vec_rate:.1f} vs {obj_rate:.1f} hosts/sec at "
+            f"{VECTOR_HOSTS} hosts) is below the {SPEEDUP_FLOOR:g}x floor")
+    print(f"ok [throughput]: vector fleet {speedup:.1f}x the object path "
+          f"({vec_rate:.1f} vs {obj_rate:.1f} hosts/sec; floor "
+          f"{SPEEDUP_FLOOR:g}x)")
 
 
 def main(argv=None) -> int:
@@ -178,8 +204,6 @@ def main(argv=None) -> int:
     parser.add_argument("--hosts", type=int, default=128,
                         help="vector fleet size for phase 1 "
                              "(default: %(default)s)")
-    parser.add_argument("--skip-bench", action="store_true",
-                        help="skip the throughput-gate phase")
     args = parser.parse_args(argv)
 
     print(f"phase 1/3: {args.hosts}-host vector fleet")
@@ -189,14 +213,12 @@ def main(argv=None) -> int:
         print("phase 2/3: campaign payload diff (vector vs object engine)")
         phase_campaign(workdir)
 
-    if args.skip_bench:
-        print("phase 3/3: skipped (--skip-bench)")
-    else:
-        print("phase 3/3: vector throughput gate (bench memsim.fleet_vec)")
-        phase_bench()
+    print(f"phase 3/3: vector throughput floor ({VECTOR_HOSTS} vector vs "
+          f"{OBJECT_HOSTS} object hosts)")
+    phase_throughput()
 
     print("fleet-vec smoke passed: fleet, campaign wiring and throughput "
-          "gate all good")
+          "floor all good")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four subcommands covering the library's main workflows:
+Nine subcommands covering the library's main workflows:
 
 ``simulate``
     Run a stress-to-crash simulation and write the counter traces to a
@@ -56,14 +56,6 @@ Four subcommands covering the library's main workflows:
 
         python -m repro telemetry runs/seed7
         python -m repro telemetry runs/seed7 --format prom
-
-``bench``
-    Run the curated hot-path benchmark suite, write a versioned
-    ``BENCH_<date>_<gitsha>.json`` perf-trajectory file and compare it
-    against the latest baseline (regressions fail the run)::
-
-        python -m repro bench --quick --out benchmarks/results
-        python -m repro bench --list        # table of archived trajectories
 
 ``watch``
     Watch a live simulation (or a replayed trace CSV) with the online
@@ -278,39 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="table",
                      help="output format: report tables (default), flat "
                           "JSON, flat CSV, or Prometheus/OpenMetrics text")
-
-    ben = sub.add_parser("bench", parents=[common],
-                         help="hot-path benchmark suite -> BENCH_*.json "
-                              "perf trajectory")
-    ben.add_argument("--quick", action="store_true",
-                     help="shrink workloads ~4-10x (CI smoke mode)")
-    ben.add_argument("--out", default="benchmarks/results", metavar="DIR",
-                     help="directory for BENCH_<date>_<gitsha>.json "
-                          "trajectory files (default: %(default)s)")
-    ben.add_argument("--baseline", default=None, metavar="PATH",
-                     help="BENCH file or directory to compare against "
-                          "(default: latest matching file in --out)")
-    ben.add_argument("--threshold", type=float, default=0.25,
-                     help="regression threshold as a fraction "
-                          "(default: %(default)s = 25%%)")
-    ben.add_argument("--repeats", type=int, default=None,
-                     help="timed iterations per case (default: 3 quick, "
-                          "5 full)")
-    ben.add_argument("--select", default=None, metavar="PAT[,PAT...]",
-                     help="only run cases whose name contains a pattern")
-    ben.add_argument("--no-memory", action="store_true",
-                     help="skip the tracemalloc memory-peak pass")
-    ben.add_argument("--no-normalize", action="store_true",
-                     help="compare raw wall times (skip calibration "
-                          "normalization)")
-    ben.add_argument("--no-compare", action="store_true",
-                     help="write the trajectory file without comparing "
-                          "against a baseline")
-    ben.add_argument("--list", action="store_true",
-                     help="list archived BENCH_*.json trajectory files "
-                          "(date, sha, mode, per-case best wall) and exit")
-    ben.add_argument("--list-cases", action="store_true",
-                     help="list the benchmark suite's cases and exit")
 
     wat = sub.add_parser("watch", parents=[common],
                          help="live online-monitor watch over a simulation "
@@ -967,87 +926,6 @@ def cmd_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the hot-path suite, archive a BENCH_*.json, police regressions."""
-    from .obs import bench
-    from .report import render_table
-
-    if args.list_cases:
-        print(render_table(
-            ["name", "group", "description"],
-            [[c.name, c.group, c.description] for c in bench.SUITE],
-            title="Benchmark suite",
-        ))
-        return 0
-    if args.list:
-        records = bench.list_bench_files(args.out)
-        if not records:
-            print(f"no {bench.BENCH_PREFIX}*.json trajectory files "
-                  f"under {args.out}")
-            return 0
-        case_names = sorted({name for r in records for name in r["cases"]})
-        rows = []
-        for r in records:
-            rows.append(
-                [r["created_at"][:10], r["git_sha"],
-                 "quick" if r["quick"] else "full"]
-                + [r["cases"].get(name, float("nan")) for name in case_names])
-        print(render_table(
-            ["date", "sha", "mode"] + [f"{n}_s" for n in case_names],
-            rows,
-            title=f"Benchmark trajectories under {args.out} "
-                  f"({len(records)} file(s), best wall seconds)",
-        ))
-        newest = max(records, key=lambda r: r["created_at"])
-        stale = sorted({c.name for c in bench.SUITE} - set(newest["cases"]))
-        if stale:
-            print(f"warning: newest trajectory "
-                  f"({newest['created_at'][:10]}, {newest['git_sha']}) "
-                  f"predates the current case set — missing "
-                  f"{', '.join(stale)}; rerun `python -m repro bench` to "
-                  f"refresh the baseline")
-        return 0
-
-    select = args.select.split(",") if args.select else None
-    mode = "quick" if args.quick else "full"
-    print(f"running {mode} benchmark suite "
-          f"({len(bench.select_cases(select))} case(s))...")
-
-    def progress(name: str, record: dict) -> None:
-        throughput = record["samples_per_sec"]
-        rate = "-" if throughput is None else f"{throughput:,.0f}"
-        print(f"  {name:<20s} {record['wall_best'] * 1e3:9.2f} ms  "
-              f"{rate:>12s} samples/s")
-
-    payload = bench.run_suite(
-        quick=args.quick, repeats=args.repeats, select=select,
-        track_memory=not args.no_memory, progress=progress,
-    )
-    path = bench.write_bench_file(payload, args.out)
-    print(f"trajectory -> {path}")
-    args._outcome.update(bench_file=path,
-                         cases=sorted(payload["results"]))
-
-    if args.no_compare:
-        return 0
-    baseline_root = args.baseline if args.baseline is not None else args.out
-    baseline_path = bench.find_baseline(
-        baseline_root, quick=args.quick, exclude=path)
-    if baseline_path is None:
-        print("no baseline to compare against (first trajectory file); "
-              "future runs will compare against this one")
-        return 0
-    comparison = bench.compare_runs(
-        bench.read_bench_file(baseline_path), payload,
-        threshold=args.threshold, normalize=not args.no_normalize,
-    )
-    print()
-    print(bench.render_comparison(comparison, baseline_path=baseline_path))
-    args._outcome.update(baseline=baseline_path,
-                         regressions=comparison["regressions"])
-    return 1 if comparison["regressions"] else 0
-
-
 def cmd_watch(args: argparse.Namespace) -> int:
     """Live watch: online monitor + alert rules over a stream of samples."""
     import contextlib
@@ -1345,7 +1223,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "campaign": cmd_campaign,
         "scoreboard": cmd_scoreboard,
         "telemetry": cmd_telemetry,
-        "bench": cmd_bench,
         "watch": cmd_watch,
         "dashboard": cmd_dashboard,
         "timeline": cmd_timeline,

@@ -9,9 +9,8 @@ by host, and the discrete-event loop collapses into a fixed-step advance
 with an *event-horizon mask*: crashed hosts drop out of the active set
 without per-host branching.
 
-Equivalence contract (enforced by ``tests/test_fleet_vec.py`` and the
-``memsim.fleet_vec_equiv`` bench case; methodology in
-``docs/PERFORMANCE.md``):
+Equivalence contract (enforced by ``tests/test_fleet_vec.py``;
+methodology in ``docs/PERFORMANCE.md``):
 
 * **exact batch decomposition** — host ``i`` of an ``n``-host fleet is
   bit-identical to host ``i`` simulated alone (and to any sharding of

@@ -1,7 +1,7 @@
 """repro.obs — run telemetry: logging, metrics, spans, manifests, profiling.
 
 The observability layer of the reproduction (subsystems S14/S15 in
-DESIGN.md).  Seven pieces, composable but independently usable:
+DESIGN.md).  Its pieces are composable but independently usable:
 
 * :mod:`repro.obs.atomic` — atomic write-temp-then-rename artifact
   writes (:func:`atomic_write` and friends), shared by every durable
@@ -23,9 +23,6 @@ DESIGN.md).  Seven pieces, composable but independently usable:
   telemetry session via ``enable_telemetry(profile=True)``.
 * :mod:`repro.obs.export` — exporters rendering sessions and saved
   manifests as Prometheus/OpenMetrics text, flat JSON or CSV.
-* :mod:`repro.obs.bench` — the ``python -m repro bench`` harness:
-  curated hot-path microbenchmarks, versioned ``BENCH_*.json``
-  perf-trajectory files, and baseline regression comparison.
 * :mod:`repro.obs.live` — live watch sessions: the versioned
   ``repro.watch-events/1`` JSONL event stream and the
   :class:`LiveWatcher` that attaches an online aging monitor (plus

@@ -3,8 +3,8 @@
 The campaign harness spends hours inside runs whose workers (and whose
 parent) can be SIGKILLed mid-write — that is the paper's whole
 methodology, stress-to-crash.  Every durable artifact this library
-produces (trace CSVs, run manifests, event streams, bench trajectories,
-dashboards, campaign results) therefore goes through one shared
+produces (trace CSVs, run manifests, event streams, dashboards,
+campaign results) therefore goes through one shared
 write-temp-then-rename helper:
 
 * the payload is written to a temporary file **in the destination

@@ -13,7 +13,6 @@ a useful fifth opinion in the Hurst table.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .._validation import as_1d_float_array, check_in_range
 from ..exceptions import AnalysisError
@@ -33,6 +32,10 @@ def local_whittle(values, *, bandwidth_exponent: float = 0.65) -> float:
     -------
     The Hurst exponent estimate ``d_hat + 1/2``, clipped to (0, 1).
     """
+    # Imported on first call: scipy.optimize is a slow import that
+    # nothing else in the package needs, so importing ``repro`` skips it.
+    from scipy.optimize import minimize_scalar
+
     x = as_1d_float_array(values, name="values", min_length=128)
     check_in_range(bandwidth_exponent, name="bandwidth_exponent", low=0.3, high=0.9)
     n = x.size

@@ -72,26 +72,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["telemetry", "runs/", "--format", "xml"])
 
-    def test_bench_args(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--select", "fractal,core",
-             "--threshold", "0.5", "--repeats", "2", "--no-memory"])
-        assert args.quick
-        assert args.select == "fractal,core"
-        assert args.threshold == 0.5
-        assert args.repeats == 2
-        assert args.no_memory
-        defaults = build_parser().parse_args(["bench"])
-        assert defaults.out == "benchmarks/results"
-        assert defaults.threshold == 0.25
-        assert not defaults.quick
-
     def test_perf_profile_flags_on_every_command(self):
         for base in (["simulate", "--out", "x.csv"],
                      ["analyze", "t.csv"],
                      ["validate"],
                      ["campaign"],
-                     ["bench"],
                      ["watch"],
                      ["dashboard", "x.jsonl"]):
             args = build_parser().parse_args(base + ["--perf-profile"])
@@ -296,106 +281,6 @@ class TestTelemetryCli:
         out = capsys.readouterr().out
         assert "Hot-path profile" in out
         assert "memsim.machine_run" in out
-
-
-class TestBenchCli:
-    def test_list_cases_mode(self, capsys):
-        code = main(["bench", "--list-cases"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Benchmark suite" in out
-        assert "fractal.mfdfa" in out
-
-    def test_list_mode_empty(self, tmp_path, capsys):
-        code = main(["bench", "--list", "--out", str(tmp_path / "none")])
-        assert code == 0
-        assert "no BENCH_" in capsys.readouterr().out
-
-    def test_list_mode_tabulates_trajectories(self, tmp_path, capsys):
-        from repro.obs import bench
-
-        payload = {
-            "schema": bench.BENCH_SCHEMA,
-            "created_at": "2026-08-06T10:00:00+00:00",
-            "quick": True,
-            "repeats": 1,
-            "environment": {"git_sha": "abc1234def"},
-            "results": {"fractal.mfdfa": {"wall_best": 0.0123}},
-        }
-        bench.write_bench_file(payload, tmp_path)
-        code = main(["bench", "--list", "--out", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "2026-08-06" in out
-        assert "abc1234" in out
-        assert "quick" in out
-        assert "fractal.mfdfa" in out
-
-    def test_quick_run_writes_trajectory(self, tmp_path, capsys):
-        code = main(["bench", "--quick", "--select", "fractal.mfdfa",
-                     "--repeats", "1", "--no-memory",
-                     "--out", str(tmp_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "no baseline" in out
-        files = list(tmp_path.glob("BENCH_*.json"))
-        assert len(files) == 1
-        payload = json.loads(files[0].read_text())
-        assert payload["schema"] == "repro.bench-trajectory/1"
-        assert payload["quick"] is True
-        assert "fractal.mfdfa" in payload["results"]
-
-    def test_second_run_compares_against_first(self, tmp_path, capsys):
-        from repro.obs import bench
-
-        argv = ["bench", "--quick", "--select", "core.holder",
-                "--repeats", "1", "--no-memory", "--out", str(tmp_path)]
-        assert main(argv) == 0
-        first = bench.find_baseline(tmp_path, quick=True)
-        # Back-date the first file so the second gets a distinct name.
-        payload = json.loads(open(first).read())
-        payload["created_at"] = "2000-01-01T00:00:00+00:00"
-        (tmp_path / "BENCH_20000101_oldsha1.json").write_text(
-            json.dumps(payload))
-        import os
-        os.remove(first)
-        capsys.readouterr()
-        # Generous threshold: same machine, same workload, must pass.
-        assert main(argv + ["--threshold", "3.0"]) == 0
-        out = capsys.readouterr().out
-        assert "Perf trajectory vs baseline" in out
-        assert "no regressions" in out
-
-    def test_regression_fails_run(self, tmp_path, capsys):
-        # A baseline claiming the workload once took ~0 seconds forces
-        # every ratio past any threshold.
-        from repro.obs import bench
-
-        argv = ["bench", "--quick", "--select", "core.holder",
-                "--repeats", "1", "--no-memory", "--out", str(tmp_path)]
-        assert main(argv) == 0
-        path = bench.find_baseline(tmp_path, quick=True)
-        payload = json.loads(open(path).read())
-        for record in payload["results"].values():
-            record["wall_best"] = 1e-9
-        payload["created_at"] = "2000-01-01T00:00:00+00:00"
-        (tmp_path / "BENCH_20000101_oldsha1.json").write_text(
-            json.dumps(payload))
-        import os
-        os.remove(path)
-        capsys.readouterr()
-        assert main(argv + ["--no-normalize"]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-
-    def test_no_compare_skips_baseline(self, tmp_path, capsys):
-        argv = ["bench", "--quick", "--select", "core.holder",
-                "--repeats", "1", "--no-memory", "--no-compare",
-                "--out", str(tmp_path)]
-        assert main(argv) == 0
-        assert main(argv) == 0  # second run: still no comparison attempted
-        out = capsys.readouterr().out
-        assert "Perf trajectory" not in out
 
 
 class TestWatchCli:

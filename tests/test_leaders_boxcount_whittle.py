@@ -1,5 +1,9 @@
 """Tests for wavelet leaders, box-counting dimensions and local Whittle."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,9 @@ from repro.fractal import (
 )
 from repro.generators import binomial_cascade, fbm, fgn, mrw, weierstrass
 from repro.stats import local_whittle
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 
 class TestWaveletLeaders:
@@ -144,3 +151,16 @@ class TestLocalWhittle:
         wide = local_whittle(x, bandwidth_exponent=0.8)
         narrow = local_whittle(x, bandwidth_exponent=0.5)
         assert abs(wide - 0.7) < 0.15 and abs(narrow - 0.7) < 0.15
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # local_whittle imports scipy.optimize on first call, so every
+        # CLI process skips that import's cost.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

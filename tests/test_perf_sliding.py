@@ -6,6 +6,7 @@ import pytest
 from repro.core.holder import holder_tail, wavelet_holder
 from repro.core.online import OnlineAgingMonitor
 from repro.exceptions import AnalysisError, ValidationError
+from repro.generators import fgn
 from repro.obs import session as _obs
 
 
@@ -81,6 +82,18 @@ def _drifting_signal(n, seed=7):
     return np.arange(n, dtype=float), values
 
 
+def _engine_stream(kind, n_drift):
+    """A ``(times, values)`` stream for the batch-vs-sliding checks.
+
+    ``"drift"`` is the ``n_drift``-sample drifting signal; ``"fgn-walk"``
+    is a fixed 12,288-sample cumulated fGn (H = 0.75, seed 21).
+    """
+    if kind == "drift":
+        return _drifting_signal(n_drift)
+    values = np.cumsum(fgn(12_288, 0.75, rng=np.random.default_rng(21)))
+    return np.arange(values.size, dtype=float), values
+
+
 class TestMonitorEngines:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValidationError):
@@ -92,8 +105,9 @@ class TestMonitorEngines:
                 OnlineAgingMonitor(holder_engine=name,
                                    holder_kwargs={"no_such_kwarg": 1})
 
-    def test_sliding_engine_matches_batch_indicators_and_alarm(self):
-        t, v = _drifting_signal(12_288)
+    @pytest.mark.parametrize("stream", ["drift", "fgn-walk"])
+    def test_sliding_engine_matches_batch_indicators_and_alarm(self, stream):
+        t, v = _engine_stream(stream, 12_288)
         batch = OnlineAgingMonitor(holder_engine="batch")
         sliding = OnlineAgingMonitor(holder_engine="sliding")
         batch.update_many(t, v)
@@ -106,8 +120,9 @@ class TestMonitorEngines:
                                       sliding.indicator_times)
         assert batch.alarm_time == sliding.alarm_time
 
-    def test_sliding_engine_cuts_cwt_flops_5x(self):
-        t, v = _drifting_signal(8_192)
+    @pytest.mark.parametrize("stream", ["drift", "fgn-walk"])
+    def test_sliding_engine_cuts_cwt_flops_5x(self, stream):
+        t, v = _engine_stream(stream, 8_192)
 
         def flops(engine):
             monitor = OnlineAgingMonitor(holder_engine=engine)
